@@ -64,10 +64,13 @@ def _cmd_run(args) -> int:
             print(f"non-service action '{instruction.action}'", file=sys.stderr)
             return EXIT_USAGE
     inputs = _parse_inputs(args.inputs)
-    if args.trace:
-        for step in trace(program, inputs, args.aux):
-            print(step)
-    print(compute(program, inputs, args.aux))
+    if not args.trace:
+        print(compute(program, inputs, args.aux))
+        return EXIT_OK
+    steps = trace(program, inputs, args.aux)
+    for step in steps:
+        print(step)
+    print(steps[-1].reply)
     return EXIT_OK
 
 

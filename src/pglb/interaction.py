@@ -6,27 +6,36 @@ branch is chosen by the service's reply (reply d deadlocks). Actions with
 foci outside the family pass through untouched. The reply operator is the
 Boolean value such a thread delivers at termination, and d when it
 deadlocks, meets an unserved action, or never terminates.
+
+``use_apply`` and ``reply`` are the paper-level specification. Programs run
+on :func:`walk`, one loop over a compiled program whose register files are
+two packed ints; ``compute``, ``trace`` and the oracle's equivalence sweep
+all call it, so a run costs the steps it takes, not the size of the
+product of thread and registers.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import StateSpaceCapExceeded
-from .extraction import extract, resolve_jumps
-from .isa import (
-    Basic,
-    InstructionSequence,
-    NegTest,
-    PosTest,
-    TAU,
-    Termination,
-    render_instruction,
+from .extraction import (
+    BANK_AUX,
+    BANK_IN,
+    CompiledProgram,
+    M_GET,
+    M_SET_F,
+    M_SET_T,
+    OP_TAU,
+    OP_TRUE,
+    compile_program,
 )
-from .services import Reply, ServiceFamily, register_family
+from .isa import InstructionSequence, TAU, render_instruction
+from .services import Reply, ServiceFamily
 from .threads import DEADLOCK, Deadlock, PostNode, RegularThread, SMinus, SPlus
 
+# Bound on the configurations one walk visits (and on the states of a use_apply product).
 DEFAULT_STATE_CAP = 500_000
 
 
@@ -81,7 +90,7 @@ def use_apply(
         branch = label.then_state if answer is Reply.T else label.else_state
         follow = config(branch, derived)
         labels_out[cfg] = PostNode(TAU, follow, follow)
-    return RegularThread(tuple(labels_out), root)  # type: ignore[arg-type]
+    return RegularThread(tuple(labels_out), root)
 
 
 def reply(thread: RegularThread, family: ServiceFamily) -> Reply:
@@ -123,27 +132,6 @@ def reply(thread: RegularThread, family: ServiceFamily) -> Reply:
         state = label.then_state if answer is Reply.T else label.else_state
 
 
-def compute(
-    sequence: InstructionSequence,
-    inputs: list[bool] | tuple[bool, ...],
-    aux_count: int = 0,
-    max_states: int = DEFAULT_STATE_CAP,
-) -> Reply:
-    """Run a program on Boolean inputs.
-
-    The program's thread first uses aux:1..aux_count registers (all starting
-    at t), then the reply is taken over input registers in:1..in:k holding
-    the given values.
-    """
-    if not all(isinstance(b, bool) for b in inputs):
-        raise ValueError("inputs must be Booleans")
-    use_fam, reply_fam = register_family(inputs, aux_count)
-    thread = extract(sequence)
-    if aux_count:
-        thread = use_apply(thread, use_fam, max_states)
-    return reply(thread, reply_fam)
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """One record of an execution walk."""
@@ -165,87 +153,160 @@ class TraceStep:
         return f"{head}{body}"
 
 
+_FINAL_REPLY = (Reply.T, Reply.F, Reply.D)  # by op kind, from OP_TRUE on
+
+
+def _step(program: CompiledProgram, state: int, kind: str, reply: Reply, note: str = "") -> TraceStep:
+    """The trace record of ``state``, located by the program's position map."""
+    position = program.position[state]
+    if not position:  # one of the two deadlock states
+        note = "infinite jump chain" if position is None else "no instruction to execute"
+        return TraceStep("deadlock", note=note, reply=reply)
+    action = program.action[state]
+    return TraceStep(
+        kind,
+        position=position,
+        instruction=render_instruction(program.source.at(position)),
+        action=None if action is None else str(action),
+        reply=reply,
+        note=note,
+    )
+
+
+def walk(
+    program: CompiledProgram,
+    inputs: int,
+    input_count: int,
+    aux_count: int = 0,
+    max_states: int = DEFAULT_STATE_CAP,
+    steps: list[TraceStep] | None = None,
+    max_steps: int = 0,
+) -> Reply:
+    """Run a compiled program on packed Boolean registers: the one execution loop.
+
+    Bit i of ``inputs`` holds register in:i (i = 1..input_count); registers
+    aux:1..aux_count all start at t. Any reply d ends the run: an unknown
+    method, a focus no register serves (aux:0, a named focus, an index out
+    of range) or a deadlock. A configuration (state, aux bits, input bits)
+    seen twice means the run never terminates, reply d. Raises
+    :class:`StateSpaceCapExceeded` when the run visits more than
+    ``max_states`` configurations.
+
+    With a ``steps`` list, one :class:`TraceStep` per visited state is
+    appended until ``max_steps`` records, then a truncation marker; the walk
+    goes on to the reply either way.
+    """
+    kind, bank, index, method = program.kind, program.bank, program.index, program.method
+    then_state, else_state = program.then_state, program.else_state
+    recording = steps is not None
+    log: list[TraceStep] = steps if steps is not None else []
+    # A trace checks every configuration, so it reports the first repeated one;
+    # a plain run checks at loop heads only, which every cycle passes.
+    check = (True,) * len(kind) if recording else program.loop_head
+    aux = ((1 << aux_count) - 1) << 1
+    seen: set[tuple[int, int, int]] = set()
+    visited = 0
+    state = program.root
+    while True:
+        if recording and len(log) >= max_steps:
+            log.append(TraceStep("truncated", note=f"after {max_steps} steps"))
+            recording = False
+        op = kind[state]
+        if op >= OP_TRUE:
+            answer = _FINAL_REPLY[op - OP_TRUE]
+            if recording:
+                log.append(_step(program, state, "terminate", answer))
+            return answer
+        if check[state]:
+            key = (state, aux, inputs)
+            if key in seen:
+                if recording:
+                    log.append(_step(program, state, "divergent", Reply.D, "configuration cycle"))
+                return Reply.D
+            seen.add(key)
+        visited += 1
+        if visited > max_states:
+            raise StateSpaceCapExceeded(f"a run visited more than {max_states} configurations")
+        b, i = bank[state], index[state]
+        if b == BANK_AUX and 0 < i <= aux_count:
+            regs = aux
+        elif b == BANK_IN and i <= input_count:
+            regs = inputs
+        elif op == OP_TAU:
+            if recording:
+                log.append(_step(program, state, "action", Reply.T))
+            state = then_state[state]
+            continue
+        else:
+            if recording:
+                log.append(_step(program, state, "no-service", Reply.D, "no service under this focus"))
+            return Reply.D
+        m = method[state]
+        if m == M_GET:
+            bit = regs >> i & 1
+        elif m == M_SET_T:
+            regs |= 1 << i
+            bit = 1
+        elif m == M_SET_F:
+            regs &= ~(1 << i)
+            bit = 1
+        else:
+            if recording:
+                log.append(_step(program, state, "action", Reply.D))
+            return Reply.D
+        if recording:
+            steps.append(_step(program, state, "action", Reply.T if bit else Reply.F))
+        if b == BANK_AUX:
+            aux = regs
+        else:
+            inputs = regs
+        state = then_state[state] if bit else else_state[state]
+
+
+def pack_inputs(inputs: list[bool] | tuple[bool, ...]) -> int:
+    """Input register file as an int: bit i holds in:i."""
+    if not all(isinstance(b, bool) for b in inputs):
+        raise ValueError("inputs must be Booleans")
+    return sum(1 << i for i, b in enumerate(inputs, 1) if b)
+
+
+def compute(
+    sequence: InstructionSequence,
+    inputs: list[bool] | tuple[bool, ...],
+    aux_count: int = 0,
+    max_states: int = DEFAULT_STATE_CAP,
+) -> Reply:
+    """Run a program on Boolean inputs.
+
+    The program's thread first uses aux:1..aux_count registers (all starting
+    at t), then the reply is taken over input registers in:1..in:k holding
+    the given values: ``reply(use_apply(extract(p), aux), inputs)``, walked
+    lazily. ``max_states`` bounds the configurations the run visits.
+    """
+    if aux_count < 0:
+        raise ValueError("aux_count must be >= 0")
+    return walk(compile_program(sequence), pack_inputs(inputs), len(inputs), aux_count, max_states)
+
+
 def trace(
     sequence: InstructionSequence,
     inputs: list[bool] | tuple[bool, ...],
     aux_count: int = 0,
     max_steps: int = 10_000,
+    max_states: int = DEFAULT_STATE_CAP,
 ) -> list[TraceStep]:
     """Deterministic step log of a computation, truncated at ``max_steps``.
 
-    Follows the same semantics as :func:`compute` but at instruction level:
-    each executed basic or test instruction becomes one record.
+    The same walk as :func:`compute`, recording each executed basic or test
+    instruction. The last record carries the reply of the run; after a
+    truncation the walk goes on unrecorded, and the marker carries it.
     """
-    use_fam, reply_fam = register_family(inputs, aux_count)
+    if aux_count < 0:
+        raise ValueError("aux_count must be >= 0")
     steps: list[TraceStep] = []
-    seen: set[tuple[int, str, str]] = set()
-    position = resolve_jumps(sequence, 1)
-    while True:
-        if len(steps) >= max_steps:
-            steps.append(TraceStep("truncated", note=f"after {max_steps} steps"))
-            return steps
-        if position is None:
-            steps.append(TraceStep("deadlock", note="infinite jump chain", reply=Reply.D))
-            return steps
-        if position == 0:
-            steps.append(TraceStep("deadlock", note="no instruction to execute", reply=Reply.D))
-            return steps
-        key = (position, use_fam.signature(), reply_fam.signature())
-        if key in seen:
-            steps.append(
-                TraceStep("divergent", position=position, note="configuration cycle", reply=Reply.D)
-            )
-            return steps
-        seen.add(key)
-        instruction = sequence.at(position)
-        rendered = render_instruction(instruction)
-        if isinstance(instruction, Termination):
-            steps.append(
-                TraceStep(
-                    "terminate",
-                    position=position,
-                    instruction=rendered,
-                    reply=Reply.T if instruction.positive else Reply.F,
-                )
-            )
-            return steps
-        assert isinstance(instruction, (Basic, PosTest, NegTest))
-        action = instruction.action
-        if action.focus is None or (action.focus not in use_fam and action.focus not in reply_fam):
-            steps.append(
-                TraceStep(
-                    "no-service",
-                    position=position,
-                    instruction=rendered,
-                    action=str(action),
-                    reply=Reply.D,
-                    note="no service under this focus",
-                )
-            )
-            return steps
-        fam = use_fam if action.focus in use_fam else reply_fam
-        service = fam.get(action.focus)
-        answer = service.reply(action.name)
-        steps.append(
-            TraceStep(
-                "action",
-                position=position,
-                instruction=rendered,
-                action=str(action),
-                reply=answer,
-            )
-        )
-        if answer is Reply.D:
-            return steps
-        derived = fam.replaced(action.focus, service.derive(action.name))
-        if fam is use_fam:
-            use_fam = derived
-        else:
-            reply_fam = derived
-        if isinstance(instruction, Basic):
-            offset = 1
-        elif isinstance(instruction, PosTest):
-            offset = 1 if answer is Reply.T else 2
-        else:
-            offset = 2 if answer is Reply.T else 1
-        position = resolve_jumps(sequence, position + offset)
+    answer = walk(
+        compile_program(sequence), pack_inputs(inputs), len(inputs), aux_count, max_states, steps, max_steps
+    )
+    if steps[-1].kind == "truncated":
+        steps[-1] = replace(steps[-1], reply=answer)
+    return steps

@@ -1,8 +1,11 @@
-"""Independent brute-force evaluators that certify generated programs.
+"""Brute-force evaluators and sweeps that certify generated programs.
 
-These deliberately avoid the extraction/interaction machinery: a circuit is
-evaluated gate by gate, a table is looked up, and a program counts as
-correct only when its runs agree with the direct evaluation on every input.
+The references take none of the program's code paths: a circuit is
+evaluated gate by gate and a table is looked up. The program side of an
+equivalence sweep runs on the interaction layer's one execution walk
+(:func:`pglb.interaction.walk`), compiled once and walked once per input;
+a program counts as correct only when its runs agree with the reference on
+every input.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InfeasibleArityError
-from .extraction import extract
-from .interaction import reply, use_apply
+from .extraction import compile_program
+from .interaction import walk
 from .isa import InstructionSequence
-from .services import Reply, register_family
+from .services import Reply
 from .synthesis import AND, Circuit, InputRef, NOT, PartialBooleanFunction
 
 
@@ -75,16 +78,16 @@ def equivalence_check(
     """
     if fn.arity > 20:
         raise InfeasibleArityError(f"sweep over 2^{fn.arity} inputs refused")
-    thread = extract(sequence)
-    if aux_count:
-        use_fam, _ = register_family((), aux_count)
-        thread = use_apply(thread, use_fam)
+    if aux_count < 0:
+        raise ValueError("aux_count must be >= 0")
+    program = compile_program(sequence)
+    arity = fn.arity
     mismatches: list[Mismatch] = []
-    for bits in fn.inputs():
-        _, input_fam = register_family(bits)
-        got = reply(thread, input_fam)
-        entry = fn.value_at(bits)
+    # Table index j has input i at bit i-1; the walk wants in:i at bit i.
+    for j, entry in enumerate(fn.entries):
+        got = walk(program, j << 1, arity, aux_count)
         expected = Reply.D if entry is None else Reply.of(entry)
         if got is not expected:
+            bits = tuple(bool(j >> i & 1) for i in range(arity))
             mismatches.append(Mismatch(bits, got, expected))
     return EquivalenceReport(fn.arity, aux_count, tuple(mismatches))
