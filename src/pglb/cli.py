@@ -16,8 +16,14 @@ from .extraction import extract
 from .interaction import compute, trace
 from .isa import Basic, InstructionSequence, NegTest, PosTest, parse, render
 from .oracle import equivalence_check
-from .sat3 import clause_count, encode_cnf, encoding_to_text, gen_3sat, parse_dimacs
-from .synthesis import compile_circuit, compile_truth_table, parse_netlist, parse_truth_table
+from .sat3 import clause_count, encode_cnf, encoding_to_text, gen_3sat, gen_3sat_length, parse_dimacs
+from .synthesis import (
+    compile_circuit,
+    compile_truth_table,
+    parse_netlist,
+    parse_truth_table,
+    truth_table_length,
+)
 from .threads import project, render_term, thread_equations, thread_to_dot
 
 EXIT_OK = 0
@@ -107,9 +113,8 @@ def _cmd_verify(args) -> int:
 def _cmd_lengths(args) -> int:
     print("k\tloop-free\twith-backward-jumps")
     for k in range(1, args.max_k + 1):
-        loop_free = 3 * 2 ** clause_count(k) - 2
-        with_jumps = 72 * k**3 + 5 * k + 1
-        print(f"{k}\t{loop_free}\t{with_jumps}")
+        # The loop-free decider is the compiled truth table over all 8k^3 clause bits.
+        print(f"{k}\t{truth_table_length(clause_count(k))}\t{gen_3sat_length(k)}")
     return EXIT_OK
 
 

@@ -231,11 +231,20 @@ def next_snippet(k: int) -> InstructionSequence:
     return InstructionSequence(tuple(instructions))
 
 
+def gen_3sat_length(k: int) -> int:
+    """Length of :func:`gen_3sat`'s program: 72k^3 + 5k + 1.
+
+    Every clause check but the last takes 9 instructions and the last 8, the
+    NEXT snippet 5k + 1, and the backward jump 1.
+    """
+    return 72 * k**3 + 5 * k + 1
+
+
 def gen_3sat(k: int) -> InstructionSequence:
     """Satisfiability decider for formulas over k variables, using one backward jump.
 
     Input registers in:1..in:8k^3 hold the formula encoding; aux:1..aux:k
-    hold the candidate assignment. Total length is 72k^3 + 5k + 1.
+    hold the candidate assignment. Total length is :func:`gen_3sat_length`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -251,7 +260,7 @@ def gen_3sat(k: int) -> InstructionSequence:
         else:
             instructions.extend([probe, FwdJump(6), *check, TERM_T])
     instructions.extend(next_snippet(k).instructions)
-    instructions.append(BwdJump(72 * k**3 + 5 * k))
+    instructions.append(BwdJump(gen_3sat_length(k) - 1))  # back to position 1
     return InstructionSequence(tuple(instructions))
 
 

@@ -87,6 +87,11 @@ class PartialBooleanFunction:
         )
 
 
+def truth_table_length(arity: int) -> int:
+    """Length of :func:`compile_truth_table`'s program for a table of this arity: 3*2^k - 2."""
+    return 3 * 2**arity - 2
+
+
 def compile_truth_table(fn: PartialBooleanFunction) -> InstructionSequence:
     """Loop-free program of length 3*2^k - 2 computing the table, no aux registers.
 
@@ -103,7 +108,7 @@ def compile_truth_table(fn: PartialBooleanFunction) -> InstructionSequence:
     on_false = compile_truth_table(fn.restricted(False))
     head: tuple[Instruction, ...] = (
         NegTest(Action(GET, Focus.input(fn.arity))),
-        FwdJump(3 * 2 ** (fn.arity - 1) - 1),
+        FwdJump(truth_table_length(fn.arity - 1) + 1),
     )
     return InstructionSequence(head + on_true.instructions + on_false.instructions)
 

@@ -10,8 +10,8 @@ and two regular threads are interchangeable exactly when they are bisimilar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .isa import Action
 
@@ -34,13 +34,50 @@ class Deadlock:
         return "D"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Post:
-    """Postconditional composition: run the action, branch on its reply."""
+    """Postconditional composition: run the action, branch on its reply.
+
+    Projections share equal subterms, so a term is a graph whose unfolding
+    can be exponentially larger. Equality and hashing work on that graph
+    without recursion: the hash is computed once from the children's, and
+    equality visits each pair of nodes at most once.
+    """
 
     action: Action
     then_branch: "FiniteThread"
     else_branch: "FiniteThread"
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.action, self.then_branch, self.else_branch)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Post):
+            return NotImplemented
+        pending: list[tuple[FiniteThread, FiniteThread]] = [(self, other)]
+        matched: set[tuple[int, int]] = set()
+        while pending:
+            left, right = pending.pop()
+            if left is right:
+                continue
+            if not (isinstance(left, Post) and isinstance(right, Post)):
+                if left != right:
+                    return False
+                continue
+            if left._hash != right._hash or left.action != right.action:
+                return False
+            pair = (id(left), id(right))
+            if pair not in matched:
+                matched.add(pair)
+                pending.append((left.then_branch, right.then_branch))
+                pending.append((left.else_branch, right.else_branch))
+        return True
 
 
 FiniteThread = SPlus | SMinus | Deadlock | Post
@@ -49,23 +86,28 @@ S_PLUS = SPlus()
 S_MINUS = SMinus()
 DEADLOCK = Deadlock()
 
-# Hash-consing cache so structurally equal projection terms share one object;
-# keyed by child identity, so only feed it children it produced itself.
-_POST_CACHE: dict[tuple[Action, int, int], Post] = {}
 
+def _hash_consing() -> Callable[[Action, FiniteThread, FiniteThread], Post]:
+    """A Post constructor that returns one shared object per distinct term it builds.
 
-def make_post(action: Action, then_branch: FiniteThread, else_branch: FiniteThread) -> Post:
-    key = (action, id(then_branch), id(else_branch))
-    node = _POST_CACHE.get(key)
-    if node is None:
-        node = Post(action, then_branch, else_branch)
-        _POST_CACHE[key] = node
-    return node
+    The table is keyed by child identity, so only feed it children it built
+    itself or leaves; it lives exactly as long as the returned function.
+    """
+    table: dict[tuple[Action, int, int], Post] = {}
+
+    def make_post(action: Action, then_branch: FiniteThread, else_branch: FiniteThread) -> Post:
+        key = (action, id(then_branch), id(else_branch))
+        node = table.get(key)
+        if node is None:
+            node = table[key] = Post(action, then_branch, else_branch)
+        return node
+
+    return make_post
 
 
 def action_prefix(action: Action, thread: FiniteThread) -> Post:
     """``a . T``: both replies continue as ``thread``."""
-    return make_post(action, thread, thread)
+    return Post(action, thread, thread)
 
 
 @dataclass(frozen=True)
@@ -114,66 +156,80 @@ class RegularThread:
 
 def thread_from_term(term: FiniteThread) -> RegularThread:
     """Regular-thread form of a finite term (shared subterms become one state)."""
-    labels: list[StateLabel] = []
-    memo: dict[int, int] = {}
-    keepalive: list[FiniteThread] = []
-
-    def build(t: FiniteThread) -> int:
-        state = memo.get(id(t))
-        if state is not None:
-            return state
+    # States in depth-first preorder, then-branch first; one per distinct node.
+    slot: dict[int, int] = {}
+    nodes: list[FiniteThread] = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if id(t) in slot:
+            continue
+        slot[id(t)] = len(nodes)
+        nodes.append(t)
         if isinstance(t, Post):
-            # Reserve the slot first so children index past it.
-            slot = len(labels)
-            labels.append(DEADLOCK)
-            memo[id(t)] = slot
-            keepalive.append(t)
-            labels[slot] = PostNode(t.action, build(t.then_branch), build(t.else_branch))
-            return slot
-        memo[id(t)] = len(labels)
-        keepalive.append(t)
-        labels.append(t)
-        return len(labels) - 1
+            stack.append(t.else_branch)
+            stack.append(t.then_branch)
+    labels: list[StateLabel] = [
+        PostNode(t.action, slot[id(t.then_branch)], slot[id(t.else_branch)])
+        if isinstance(t, Post)
+        else t
+        for t in nodes
+    ]
+    return RegularThread(tuple(labels), 0)
 
-    root = build(term)
-    return RegularThread(tuple(labels), root)
+
+def _projector(
+    thread: RegularThread, make_post: Callable[[Action, FiniteThread, FiniteThread], Post]
+) -> Callable[[int], FiniteThread]:
+    """``project(thread, n)`` for any n, sharing one memo across calls."""
+    states = thread.states
+    memo: dict[tuple[int, int], FiniteThread] = {}
+
+    def at(depth: int) -> FiniteThread:
+        stack = [(thread.root, depth)]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            state, n = key
+            label = states[state]
+            if n == 0 or isinstance(label, Deadlock):
+                memo[key] = DEADLOCK
+            elif isinstance(label, SPlus):
+                memo[key] = S_PLUS
+            elif isinstance(label, SMinus):
+                memo[key] = S_MINUS
+            else:
+                then_key, else_key = (label.then_state, n - 1), (label.else_state, n - 1)
+                if then_key not in memo or else_key not in memo:
+                    stack.append(then_key)
+                    stack.append(else_key)
+                    continue
+                memo[key] = make_post(label.action, memo[then_key], memo[else_key])
+            stack.pop()
+        return memo[(thread.root, depth)]
+
+    return at
 
 
 def project(thread: RegularThread, depth: int) -> FiniteThread:
     """Approximation up to ``depth``: cut the behaviour after that many actions.
 
     Depth 0 is always D; a postconditional at depth n+1 keeps its action and
-    projects both branches at depth n.
+    projects both branches at depth n. Equal subterms are built once.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    memo: dict[tuple[int, int], FiniteThread] = {}
-
-    def pi(state: int, n: int) -> FiniteThread:
-        key = (state, n)
-        done = memo.get(key)
-        if done is not None:
-            return done
-        label = thread.states[state]
-        if n == 0 or isinstance(label, Deadlock):
-            term: FiniteThread = DEADLOCK
-        elif isinstance(label, SPlus):
-            term = S_PLUS
-        elif isinstance(label, SMinus):
-            term = S_MINUS
-        else:
-            term = make_post(label.action, pi(label.then_state, n - 1), pi(label.else_state, n - 1))
-        memo[key] = term
-        return term
-
-    return pi(thread.root, depth)
+    return _projector(thread, _hash_consing())(depth)
 
 
 def projective_sequence(thread: RegularThread) -> Iterator[FiniteThread]:
     """The infinite sequence of approximations, starting with depth 0 (always D)."""
+    at = _projector(thread, _hash_consing())
     depth = 0
     while True:
-        yield project(thread, depth)
+        yield at(depth)
         depth += 1
 
 
@@ -181,25 +237,28 @@ def project_term(term: FiniteThread, depth: int) -> FiniteThread:
     """Projection on finite terms (same clauses as :func:`project`)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    memo: dict[tuple[int, int], FiniteThread] = {}
-    keepalive: list[FiniteThread] = []
-
-    def pi(t: FiniteThread, n: int) -> FiniteThread:
+    make_post = _hash_consing()
+    memo: dict[tuple[int, int], FiniteThread] = {}  # keyed by subterm identity; term keeps them alive
+    stack: list[tuple[FiniteThread, int]] = [(term, depth)]
+    while stack:
+        t, n = stack[-1]
         key = (id(t), n)
-        done = memo.get(key)
-        if done is not None:
-            return done
+        if key in memo:
+            stack.pop()
+            continue
         if n == 0 or isinstance(t, Deadlock):
-            out: FiniteThread = DEADLOCK
+            memo[key] = DEADLOCK
         elif isinstance(t, (SPlus, SMinus)):
-            out = t
+            memo[key] = t
         else:
-            out = make_post(t.action, pi(t.then_branch, n - 1), pi(t.else_branch, n - 1))
-        memo[key] = out
-        keepalive.append(t)
-        return out
-
-    return pi(term, depth)
+            then_key, else_key = (id(t.then_branch), n - 1), (id(t.else_branch), n - 1)
+            if then_key not in memo or else_key not in memo:
+                stack.append((t.then_branch, n - 1))
+                stack.append((t.else_branch, n - 1))
+                continue
+            memo[key] = make_post(t.action, memo[then_key], memo[else_key])
+        stack.pop()
+    return memo[(id(term), depth)]
 
 
 def _label_class(label: StateLabel):
@@ -240,21 +299,36 @@ def bisimilar(left: RegularThread, right: RegularThread) -> bool:
 
 def aip_equal(left: RegularThread, right: RegularThread, depth: int) -> bool:
     """True when all projections up to ``depth`` coincide as terms."""
-    return all(project(left, n) == project(right, n) for n in range(depth + 1))
+    # One hash-cons table for both sides: equal projections are the same object.
+    make_post = _hash_consing()
+    at_left, at_right = _projector(left, make_post), _projector(right, make_post)
+    return all(at_left(n) is at_right(n) for n in range(depth + 1))
 
 
 def render_term(term: FiniteThread) -> str:
     """Readable form: ``a . T`` for action prefix, ``T <+ a +> T'`` otherwise."""
-
-    def go(t: FiniteThread, as_argument: bool) -> str:
+    out: list[str] = []
+    # Pending output, last first: literal text or (term, rendered as an argument).
+    pending: list[str | tuple[FiniteThread, bool]] = [(term, False)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, as_argument = item
         if not isinstance(t, Post):
-            return str(t)
-        if t.then_branch is t.else_branch or t.then_branch == t.else_branch:
-            return f"{t.action} ∘ {go(t.then_branch, True)}"
-        body = f"{go(t.then_branch, True)} ⊴ {t.action} ⊵ {go(t.else_branch, True)}"
-        return f"({body})" if as_argument else body
-
-    return go(term, False)
+            out.append(str(t))
+        elif t.then_branch is t.else_branch or t.then_branch == t.else_branch:
+            out.append(f"{t.action} ∘ ")
+            pending.append((t.then_branch, True))
+        else:
+            parts: list[str | tuple[FiniteThread, bool]] = [
+                (t.then_branch, True), f" ⊴ {t.action} ⊵ ", (t.else_branch, True)
+            ]
+            if as_argument:
+                parts = ["(", *parts, ")"]
+            pending.extend(reversed(parts))
+    return "".join(out)
 
 
 def _successors(label: StateLabel) -> tuple[int, ...]:

@@ -206,3 +206,41 @@ def test_help_exits_cleanly(capsys):
     capsys.readouterr()
     assert main(["bogus-command"]) == 2
     capsys.readouterr()
+
+
+def test_project_deep_loop_does_not_recurse(tmp_path, capsys):
+    path = write(tmp_path, "loop.pga", r"a; \#1")
+    code, out, _ = run_cli(capsys, "project", path, "-n", "3000")
+    assert code == 0
+    assert out.strip() == "a ∘ " * 3000 + "D"
+
+
+def test_run_state_cap_maps_to_exit_three(tmp_path, capsys, monkeypatch):
+    import pglb.cli as cli
+    from pglb import compute, trace
+
+    monkeypatch.setattr(cli, "compute", lambda p, i, a: compute(p, i, a, max_states=50))
+    monkeypatch.setattr(cli, "trace", lambda p, i, a: trace(p, i, a, max_states=50))
+    # Counts aux:1..aux:6 down through all 64 assignments before replying f.
+    path = write(tmp_path, "count.pga", "\n".join(
+        f"-aux:{i}.get; #3; aux:{i}.set:f; #{3 if i == 6 else 5}; aux:{i}.set:t" for i in range(1, 7)
+    ) + "\n!f\n\\#31\n")
+    code, out, _ = run_cli(capsys, "run", path, "--aux", "6")
+    assert code == 3 and not out
+    code, _, err = run_cli(capsys, "run", path, "--aux", "6", "--trace")
+    assert code == 3 and "resource guard" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "run", path, "--aux", "6")
+    assert code == 0 and out.strip() == "f"
+
+
+def test_run_trace_reports_the_reply_past_truncation(tmp_path, capsys):
+    path = write(tmp_path, "count.pga", "\n".join(
+        f"-aux:{i}.get; #3; aux:{i}.set:f; #{3 if i == 12 else 5}; aux:{i}.set:t" for i in range(1, 13)
+    ) + "\n!f\n\\#61\n")
+    code, out, _ = run_cli(capsys, "run", path, "--aux", "12", "--trace")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 10_002
+    assert lines[-2] == "truncated (after 10000 steps)"
+    assert lines[-1] == "f"

@@ -273,3 +273,51 @@ def test_trace_agrees_with_compute():
         steps = trace(prog, inputs, aux, 1000)
         final = steps[-1]
         assert final.reply is compute(prog, inputs, aux)
+
+
+def _counter(k: int):
+    """next_snippet over aux:1..aux:k looped back to its start: 2^k passes, then reply f."""
+    from pglb import BwdJump, InstructionSequence, next_snippet
+
+    body = next_snippet(k).instructions
+    return InstructionSequence(body + (BwdJump(len(body)),))
+
+
+def test_state_cap_bounds_the_run_not_the_product():
+    from pglb import compile_circuit, eval_circuit, parse_netlist, register_family
+    import itertools
+
+    circuit = parse_netlist(
+        "inputs 3\ng1 = AND x1 x2\ng2 = OR x2 x3\ng3 = NOT g1\ng4 = AND g2 g3\ng5 = OR g4 x1\n"
+    )
+    program = compile_circuit(circuit)
+    use_family, _ = register_family((), 5)
+    # A loop-free run visits at most one configuration per instruction.
+    cap = len(program)
+    assert len(use_apply(extract(program), use_family).states) > cap
+    with pytest.raises(StateSpaceCapExceeded):
+        use_apply(extract(program), use_family, max_states=cap)
+    for bits in itertools.product((True, False), repeat=3):
+        expected = Reply.of(eval_circuit(circuit, bits))
+        assert compute(program, list(bits), 5, max_states=cap) is expected
+
+
+def test_state_cap_still_stops_a_long_run():
+    counter = _counter(6)
+    assert compute(counter, [], 6) is Reply.F
+    with pytest.raises(StateSpaceCapExceeded):
+        compute(counter, [], 6, max_states=50)
+    with pytest.raises(StateSpaceCapExceeded):
+        trace(counter, [], 6, max_states=50)
+
+
+def test_truncated_trace_carries_the_reply_of_the_whole_run():
+    steps = trace(_counter(6), [], 6, max_steps=20)
+    assert len(steps) == 21
+    assert steps[-1].kind == "truncated" and str(steps[-1]) == "truncated (after 20 steps)"
+    assert steps[-1].reply is Reply.F
+
+
+def test_trace_labels_both_kinds_of_deadlock():
+    assert str(trace(parse(r"#1; \#1"), [], 0)[-1]) == "deadlock (infinite jump chain)"
+    assert str(trace(parse("#5"), [], 0)[-1]) == "deadlock (no instruction to execute)"

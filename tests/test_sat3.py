@@ -259,3 +259,13 @@ def test_satisfiable_and_unsatisfiable_single_variable_instances():
     )
     assert compute(prog, list(encode_cnf(contradiction)), 1).value == "f"
     assert compute(prog, [False] * 8, 1).value == "t"  # empty formula
+
+
+def test_length_definitions_match_the_generators():
+    from pglb import PartialBooleanFunction, compile_truth_table, gen_3sat_length, truth_table_length
+
+    for k in (1, 2, 3):
+        assert gen_3sat_length(k) == len(gen_3sat(k))
+    for arity in range(5):
+        table = PartialBooleanFunction(arity, (None,) * 2**arity)
+        assert truth_table_length(arity) == len(compile_truth_table(table))

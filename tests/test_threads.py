@@ -168,3 +168,43 @@ def test_regular_thread_validates_references():
         RegularThread((PostNode(A, 0, 5),), 0)
     with pytest.raises(ValueError):
         RegularThread((S_PLUS,), 2)
+
+
+def _module_table_sizes() -> dict:
+    import sys
+
+    return {
+        (name, attr): len(value)
+        for name, module in list(sys.modules.items())
+        if name == "pglb" or name.startswith("pglb.")
+        for attr, value in vars(module).items()
+        if not attr.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_repeated_projections_leave_no_module_table_larger():
+    project(LOOP_GRAPH, 10)
+    before = _module_table_sizes()
+    for _ in range(3):
+        assert aip_equal(LOOP_GRAPH, LOOP_GRAPH, 400)
+        deep = project(LOOP_GRAPH, 400)
+        project_term(deep, 200)
+        thread_from_term(project(LOOP_GRAPH, 30))
+    assert _module_table_sizes() == before
+
+
+def test_deep_terms_project_render_and_compare_without_recursion():
+    loop = RegularThread((PostNode(A, 0, 0),), 0)
+    deep = project(loop, 20_000)
+    assert render_term(deep) == "a ∘ " * 20_000 + "D"
+    assert deep == project(loop, 20_000) and deep != project(loop, 19_999)
+    assert project_term(deep, 5) == project(loop, 5)
+    chain = thread_from_term(deep)
+    assert len(chain.states) == 20_001 and chain.states[-1] == DEADLOCK
+
+
+def test_shared_terms_compare_in_linear_time():
+    # The unfolding of depth 300 has about 2^300 nodes; the shared graph is small.
+    left, right = project(LOOP_GRAPH, 300), project(LOOP_GRAPH, 300)
+    assert left is not right and left == right and hash(left) == hash(right)
+    assert left != project(LOOP_GRAPH, 299)
