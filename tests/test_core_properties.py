@@ -47,9 +47,24 @@ instructions = st.one_of(
     st.builds(BwdJump, st.integers(0, 8)),
     st.sampled_from((TERM_T, TERM_F)),
 )
-programs = st.lists(instructions, min_size=1, max_size=10).map(
-    lambda body: InstructionSequence(tuple(body))
+# Mostly served registers and backward jumps: runs that loop, diverge or count.
+served_actions = st.builds(
+    Action,
+    st.sampled_from(("get", "get", "set:t", "set:f")),
+    st.sampled_from((Focus.input(1), Focus.input(2), Focus.aux(1), Focus.aux(2))),
 )
+looping_instructions = st.one_of(
+    st.builds(Basic, served_actions),
+    st.builds(PosTest, served_actions),
+    st.builds(NegTest, served_actions),
+    st.builds(BwdJump, st.integers(1, 6)),
+    st.builds(FwdJump, st.integers(1, 3)),
+    st.sampled_from((TERM_T, TERM_F)),
+)
+programs = st.one_of(
+    st.lists(instructions, min_size=1, max_size=10),
+    st.lists(looping_instructions, min_size=1, max_size=10),
+).map(lambda body: InstructionSequence(tuple(body)))
 input_vectors = st.lists(st.booleans(), max_size=3)
 aux_counts = st.integers(0, 3)
 
