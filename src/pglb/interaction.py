@@ -196,6 +196,8 @@ def walk(
     appended until ``max_steps`` records, then a truncation marker; the walk
     goes on to the reply either way.
     """
+    if aux_count < 0:
+        raise ValueError("aux_count must be >= 0")
     kind, bank, index, method = program.kind, program.bank, program.index, program.method
     then_state, else_state = program.then_state, program.else_state
     recording = steps is not None
@@ -255,7 +257,7 @@ def walk(
                 log.append(_step(program, state, "action", Reply.D))
             return Reply.D
         if recording:
-            steps.append(_step(program, state, "action", Reply.T if bit else Reply.F))
+            log.append(_step(program, state, "action", Reply.T if bit else Reply.F))
         if b == BANK_AUX:
             aux = regs
         else:
@@ -263,7 +265,7 @@ def walk(
         state = then_state[state] if bit else else_state[state]
 
 
-def pack_inputs(inputs: list[bool] | tuple[bool, ...]) -> int:
+def _pack_inputs(inputs: list[bool] | tuple[bool, ...]) -> int:
     """Input register file as an int: bit i holds in:i."""
     if not all(isinstance(b, bool) for b in inputs):
         raise ValueError("inputs must be Booleans")
@@ -283,9 +285,7 @@ def compute(
     the given values: ``reply(use_apply(extract(p), aux), inputs)``, walked
     lazily. ``max_states`` bounds the configurations the run visits.
     """
-    if aux_count < 0:
-        raise ValueError("aux_count must be >= 0")
-    return walk(compile_program(sequence), pack_inputs(inputs), len(inputs), aux_count, max_states)
+    return walk(compile_program(sequence), _pack_inputs(inputs), len(inputs), aux_count, max_states)
 
 
 def trace(
@@ -301,11 +301,9 @@ def trace(
     instruction. The last record carries the reply of the run; after a
     truncation the walk goes on unrecorded, and the marker carries it.
     """
-    if aux_count < 0:
-        raise ValueError("aux_count must be >= 0")
     steps: list[TraceStep] = []
     answer = walk(
-        compile_program(sequence), pack_inputs(inputs), len(inputs), aux_count, max_states, steps, max_steps
+        compile_program(sequence), _pack_inputs(inputs), len(inputs), aux_count, max_states, steps, max_steps
     )
     if steps[-1].kind == "truncated":
         steps[-1] = replace(steps[-1], reply=answer)

@@ -78,8 +78,6 @@ def equivalence_check(
     """
     if fn.arity > 20:
         raise InfeasibleArityError(f"sweep over 2^{fn.arity} inputs refused")
-    if aux_count < 0:
-        raise ValueError("aux_count must be >= 0")
     program = compile_program(sequence)
     arity = fn.arity
     mismatches: list[Mismatch] = []
