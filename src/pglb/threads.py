@@ -234,31 +234,8 @@ def projective_sequence(thread: RegularThread) -> Iterator[FiniteThread]:
 
 
 def project_term(term: FiniteThread, depth: int) -> FiniteThread:
-    """Projection on finite terms (same clauses as :func:`project`)."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    make_post = _hash_consing()
-    memo: dict[tuple[int, int], FiniteThread] = {}  # keyed by subterm identity; term keeps them alive
-    stack: list[tuple[FiniteThread, int]] = [(term, depth)]
-    while stack:
-        t, n = stack[-1]
-        key = (id(t), n)
-        if key in memo:
-            stack.pop()
-            continue
-        if n == 0 or isinstance(t, Deadlock):
-            memo[key] = DEADLOCK
-        elif isinstance(t, (SPlus, SMinus)):
-            memo[key] = t
-        else:
-            then_key, else_key = (id(t.then_branch), n - 1), (id(t.else_branch), n - 1)
-            if then_key not in memo or else_key not in memo:
-                stack.append((t.then_branch, n - 1))
-                stack.append((t.else_branch, n - 1))
-                continue
-            memo[key] = make_post(t.action, memo[then_key], memo[else_key])
-        stack.pop()
-    return memo[(id(term), depth)]
+    """Projection on finite terms: the projection of the term's graph form."""
+    return project(thread_from_term(term), depth)
 
 
 def _label_class(label: StateLabel):
