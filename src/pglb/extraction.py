@@ -24,7 +24,6 @@ from .isa import (
     FwdJump,
     GET,
     InstructionSequence,
-    NegTest,
     PosTest,
     SET_F,
     SET_T,
@@ -103,8 +102,7 @@ class CompiledProgram:
     ``exit_state`` (behaviour left the program; its position is 0) and
     ``exit_state + 1`` (an infinite jump chain; its position is None).
     ``then_state``/``else_state`` are the successors on reply t and f (equal
-    for basic actions). ``loop_head`` marks the states some edge enters
-    from an equal or later position: every cycle of the thread passes one.
+    for basic actions).
     """
 
     source: InstructionSequence
@@ -116,7 +114,6 @@ class CompiledProgram:
     else_state: tuple[int, ...]
     position: tuple[int | None, ...]
     action: tuple[Action | None, ...]
-    loop_head: tuple[bool, ...]
     root: int
     exit_state: int
 
@@ -145,7 +142,6 @@ def compile_program(sequence: InstructionSequence, start: int = 1) -> CompiledPr
 
     # One row per state: kind, bank, index, method, then-state, else-state, action.
     rows: list[tuple[int, int, int, int, int, int, Action | None]] = []
-    loop_head = [False] * (exit_state + 2)
     for state, p in enumerate(positions):
         instruction = instructions[p - 1]
         if isinstance(instruction, Termination):
@@ -167,10 +163,6 @@ def compile_program(sequence: InstructionSequence, start: int = 1) -> CompiledPr
             bank = _BANKS.get(focus.kind, BANK_NONE)
             method = _METHODS.get(act.name, M_OTHER)
             rows.append((OP_ACTION, bank, focus.index or 0, method, on_t, on_f, act))
-        if on_t <= state:
-            loop_head[on_t] = True
-        if on_f <= state:
-            loop_head[on_f] = True
     rows.append((OP_DEADLOCK, BANK_NONE, 0, M_OTHER, exit_state, exit_state, None))
     rows.append((OP_DEADLOCK, BANK_NONE, 0, M_OTHER, cycle_state, cycle_state, None))
     kind, bank, index, method, then_state, else_state, action = zip(*rows)
@@ -184,7 +176,6 @@ def compile_program(sequence: InstructionSequence, start: int = 1) -> CompiledPr
         else_state=else_state,
         position=tuple(positions) + (0, None),
         action=action,
-        loop_head=tuple(loop_head),
         root=target(start),
         exit_state=exit_state,
     )

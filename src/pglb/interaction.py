@@ -202,12 +202,8 @@ def walk(
     then_state, else_state = program.then_state, program.else_state
     recording = steps is not None
     log: list[TraceStep] = steps if steps is not None else []
-    # A trace checks every configuration, so it reports the first repeated one;
-    # a plain run checks at loop heads only, which every cycle passes.
-    check = (True,) * len(kind) if recording else program.loop_head
     aux = ((1 << aux_count) - 1) << 1
     seen: set[tuple[int, int, int]] = set()
-    visited = 0
     state = program.root
     while True:
         if recording and len(log) >= max_steps:
@@ -219,15 +215,17 @@ def walk(
             if recording:
                 log.append(_step(program, state, "terminate", answer))
             return answer
-        if check[state]:
-            key = (state, aux, inputs)
-            if key in seen:
-                if recording:
-                    log.append(_step(program, state, "divergent", Reply.D, "configuration cycle"))
-                return Reply.D
-            seen.add(key)
-        visited += 1
-        if visited > max_states:
+        key = (state, aux, inputs)
+        if key in seen:
+            if recording:
+                log.append(
+                    TraceStep(
+                        "divergent", position=program.position[state], note="configuration cycle", reply=Reply.D
+                    )
+                )
+            return Reply.D
+        seen.add(key)
+        if len(seen) > max_states:
             raise StateSpaceCapExceeded(f"a run visited more than {max_states} configurations")
         b, i = bank[state], index[state]
         if b == BANK_AUX and 0 < i <= aux_count:
@@ -293,7 +291,6 @@ def trace(
     inputs: list[bool] | tuple[bool, ...],
     aux_count: int = 0,
     max_steps: int = 10_000,
-    max_states: int = DEFAULT_STATE_CAP,
 ) -> list[TraceStep]:
     """Deterministic step log of a computation, truncated at ``max_steps``.
 
@@ -303,7 +300,13 @@ def trace(
     """
     steps: list[TraceStep] = []
     answer = walk(
-        compile_program(sequence), _pack_inputs(inputs), len(inputs), aux_count, max_states, steps, max_steps
+        compile_program(sequence),
+        _pack_inputs(inputs),
+        len(inputs),
+        aux_count,
+        DEFAULT_STATE_CAP,
+        steps,
+        max_steps,
     )
     if steps[-1].kind == "truncated":
         steps[-1] = replace(steps[-1], reply=answer)

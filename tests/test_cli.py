@@ -217,10 +217,17 @@ def test_project_deep_loop_does_not_recurse(tmp_path, capsys):
 
 def test_run_state_cap_maps_to_exit_three(tmp_path, capsys, monkeypatch):
     import pglb.cli as cli
-    from pglb import compute, trace
+    from pglb import compute
+    from pglb.extraction import compile_program
+    from pglb.interaction import walk
+
+    def capped_trace(program, inputs, aux_count):
+        steps = []
+        walk(compile_program(program), 0, len(inputs), aux_count, max_states=50, steps=steps, max_steps=10_000)
+        return steps
 
     monkeypatch.setattr(cli, "compute", lambda p, i, a: compute(p, i, a, max_states=50))
-    monkeypatch.setattr(cli, "trace", lambda p, i, a: trace(p, i, a, max_states=50))
+    monkeypatch.setattr(cli, "trace", capped_trace)
     # Counts aux:1..aux:6 down through all 64 assignments before replying f.
     path = write(tmp_path, "count.pga", "\n".join(
         f"-aux:{i}.get; #3; aux:{i}.set:f; #{3 if i == 6 else 5}; aux:{i}.set:t" for i in range(1, 7)

@@ -27,6 +27,8 @@ from pglb import (
     trace,
     use_apply,
 )
+from pglb.extraction import compile_program
+from pglb.interaction import walk
 from thelpers import random_family, random_thread, walk_terminal
 
 EQ_1_2 = parse(r"+1.get; #2; #4; +2.get; !t; !f; -2.get; \#3; \#3")
@@ -308,7 +310,7 @@ def test_state_cap_still_stops_a_long_run():
     with pytest.raises(StateSpaceCapExceeded):
         compute(counter, [], 6, max_states=50)
     with pytest.raises(StateSpaceCapExceeded):
-        trace(counter, [], 6, max_states=50)
+        walk(compile_program(counter), 0, 0, 6, max_states=50, steps=[], max_steps=10_000)
 
 
 def test_truncated_trace_carries_the_reply_of_the_whole_run():
