@@ -165,3 +165,20 @@ def walk_with_taus(thread: RegularThread, family: ServiceFamily) -> tuple[int, s
             return taus, "D"
         fam = fam.replaced(focus, service.derive(label.action.name))
         state = label.then_state if answer is Reply.T else label.else_state
+
+
+def reference_compile_truth_table(fn):
+    """The truth-table compiler by its recursive definition: test the last input, jump over the t half."""
+    from pglb import PartialBooleanFunction, truth_table_length
+
+    if fn.arity == 0:
+        value = fn.entries[0]
+        return (FwdJump(0),) if value is None else ((TERM_T if value else TERM_F),)
+    half = 2 ** (fn.arity - 1)
+    on_true = reference_compile_truth_table(PartialBooleanFunction(fn.arity - 1, fn.entries[half:]))
+    on_false = reference_compile_truth_table(PartialBooleanFunction(fn.arity - 1, fn.entries[:half]))
+    head = (
+        NegTest(Action(GET, Focus.input(fn.arity))),
+        FwdJump(truth_table_length(fn.arity - 1) + 1),
+    )
+    return head + on_true + on_false
