@@ -194,8 +194,18 @@ def render_instruction(instruction: Instruction) -> str:
 
 
 def render(sequence: InstructionSequence) -> str:
-    """Canonical single-line form; ``parse(render(s)) == s``."""
-    return "; ".join(render_instruction(u) for u in sequence)
+    """Canonical single-line form; ``parse(render(s)) == s``.
+
+    Each distinct instruction object is rendered once per call.
+    """
+    rendered: dict[int, str] = {}
+    parts = []
+    for u in sequence.instructions:
+        text = rendered.get(id(u))
+        if text is None:
+            text = rendered[id(u)] = render_instruction(u)
+        parts.append(text)
+    return "; ".join(parts)
 
 
 def length(sequence: InstructionSequence) -> int:
@@ -269,16 +279,22 @@ def parse(text: str) -> InstructionSequence:
 
     ``//`` starts a comment running to the end of the line. Raises
     :class:`ParseError` with a line:column position on malformed input.
+    Each distinct token is parsed once per call and its (frozen) instruction
+    shared; a malformed token fails at its first occurrence.
     """
     instructions: list[Instruction] = []
+    parsed: dict[str, Instruction] = {}
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("//", 1)[0]
         offset = 0
         for segment in line.split(";"):
             token = segment.strip()
             if token:
-                column = offset + segment.index(token[0]) + 1
-                instructions.append(_parse_instruction(token, lineno, column))
+                instruction = parsed.get(token)
+                if instruction is None:
+                    column = offset + segment.index(token[0]) + 1
+                    instruction = parsed[token] = _parse_instruction(token, lineno, column)
+                instructions.append(instruction)
             offset += len(segment) + 1
     if not instructions:
         raise ParseError("empty instruction sequence")

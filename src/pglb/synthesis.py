@@ -11,7 +11,7 @@ evaluates to false.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import InfeasibleArityError, MalformedCircuitError, ParseError
 from .isa import (
@@ -61,12 +61,6 @@ class PartialBooleanFunction:
             entries.append(fn(bits))
         return PartialBooleanFunction(arity, tuple(entries))
 
-    @staticmethod
-    def from_table(arity: int, table: Mapping[tuple[bool, ...], bool | None]) -> "PartialBooleanFunction":
-        if len(table) != 2**arity:
-            raise ValueError("table must cover every input vector")
-        return PartialBooleanFunction.from_callable(arity, lambda bits: table[bits])
-
     def value_at(self, bits: Sequence[bool]) -> bool | None:
         if len(bits) != self.arity:
             raise ValueError(f"expected {self.arity} inputs, got {len(bits)}")
@@ -76,15 +70,6 @@ class PartialBooleanFunction:
         """All input vectors in table order."""
         for index in range(2**self.arity):
             yield tuple(bool(index >> i & 1) for i in range(self.arity))
-
-    def restricted(self, last: bool) -> "PartialBooleanFunction":
-        """The (k-1)-ary function with the last input fixed."""
-        if self.arity == 0:
-            raise ValueError("cannot restrict a nullary function")
-        half = 2 ** (self.arity - 1)
-        return PartialBooleanFunction(
-            self.arity - 1, self.entries[half:] if last else self.entries[:half]
-        )
 
 
 def truth_table_length(arity: int) -> int:
@@ -98,19 +83,27 @@ def compile_truth_table(fn: PartialBooleanFunction) -> InstructionSequence:
     Nullary tables are a single !t, !f or #0 (whose behaviour is deadlock,
     hence reply d, for the undefined entry). Otherwise test the last input
     and jump over the compiled b=t restriction into the b=f restriction.
+
+    The restrictions are contiguous index ranges of ``fn.entries``, emitted
+    in pre-order from a stack; each level's test and jump are one shared pair.
     """
-    if fn.arity == 0:
-        value = fn.entries[0]
-        if value is None:
-            return InstructionSequence.of(FwdJump(0))
-        return InstructionSequence.of(TERM_T if value else TERM_F)
-    on_true = compile_truth_table(fn.restricted(True))
-    on_false = compile_truth_table(fn.restricted(False))
-    head: tuple[Instruction, ...] = (
-        NegTest(Action(GET, Focus.input(fn.arity))),
-        FwdJump(truth_table_length(fn.arity - 1) + 1),
-    )
-    return InstructionSequence(head + on_true.instructions + on_false.instructions)
+    leaves = {True: TERM_T, False: TERM_F, None: FwdJump(0)}
+    heads = [()] + [
+        (NegTest(Action(GET, Focus.input(arity))), FwdJump(truth_table_length(arity - 1) + 1))
+        for arity in range(1, fn.arity + 1)
+    ]
+    entries = fn.entries
+    instructions: list[Instruction] = []
+    stack = [(0, fn.arity)]  # (first entry, arity) of each range still to emit
+    while stack:
+        start, arity = stack.pop()
+        if arity == 0:
+            instructions.append(leaves[entries[start]])
+            continue
+        instructions.extend(heads[arity])
+        stack.append((start, arity - 1))  # b=f restriction, emitted second
+        stack.append((start + (1 << (arity - 1)), arity - 1))  # b=t restriction, emitted first
+    return InstructionSequence(tuple(instructions))
 
 
 @dataclass(frozen=True)
@@ -211,6 +204,9 @@ def compile_3sat_loopfree(k: int) -> InstructionSequence:
     return compile_truth_table(table)
 
 
+_PATTERN_BITS = str.maketrans("tf", "10")
+
+
 def parse_truth_table(text: str) -> PartialBooleanFunction:
     """Table file: line ``k <arity>`` then one ``<pattern> <t|f|u>`` row per input.
 
@@ -224,7 +220,7 @@ def parse_truth_table(text: str) -> PartialBooleanFunction:
     if len(fields) != 2 or not fields[1].isdigit():
         raise ParseError("first line must be 'k <arity>'", 1)
     arity = int(fields[1])
-    rows: dict[tuple[bool, ...], bool | None] = {}
+    rows: dict[int, bool | None] = {}  # keyed by table index, input 1 least significant
     for lineno, line in enumerate(lines[1:], 2):
         fields = line.split()
         if arity == 0 and len(fields) == 1:
@@ -237,13 +233,13 @@ def parse_truth_table(text: str) -> PartialBooleanFunction:
             raise ParseError(f"pattern must be {arity} characters over t/f", lineno)
         if value_text not in ("t", "f", "u"):
             raise ParseError("value must be t, f or u", lineno)
-        bits = tuple(c == "t" for c in pattern)
-        if bits in rows:
+        index = int(pattern[::-1].translate(_PATTERN_BITS), 2) if pattern else 0
+        if index in rows:
             raise ParseError(f"duplicate row {pattern!r}", lineno)
-        rows[bits] = None if value_text == "u" else value_text == "t"
+        rows[index] = None if value_text == "u" else value_text == "t"
     if len(rows) != 2**arity:
         raise ParseError(f"table needs {2 ** arity} rows, found {len(rows)}")
-    return PartialBooleanFunction.from_table(arity, rows)
+    return PartialBooleanFunction(arity, tuple(map(rows.__getitem__, range(len(rows)))))
 
 
 def format_truth_table(fn: PartialBooleanFunction) -> str:
