@@ -2,12 +2,14 @@
 
 Exit codes: 0 success (verify: equivalent), 1 verification mismatch,
 2 usage or parse error, 3 resource guard tripped (infeasible arity or
-configuration cap). Results go to stdout, diagnostics to stderr.
+configuration cap), 4 internal error (a bug: any other exception). Results go
+to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -193,10 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; each parse returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exit_:  # argparse exits 0 for --help, 2 for usage errors
         return EXIT_OK if exit_.code == 0 else EXIT_USAGE
     try:
@@ -213,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, not bad input: say so rather than show a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -372,20 +372,34 @@ def thread_equations(thread: RegularThread) -> str:
         if state == thread.root or (is_post and (refs[state] >= 2 or state in back_targets)):
             named[state] = f"E{len(named)}"
 
-    def go(state: int, as_argument: bool, defining: bool) -> str:
-        if not defining and state in named:
-            return named[state]
-        label = thread.states[state]
-        if not isinstance(label, PostNode):
-            return str(label)
-        if label.then_state == label.else_state:
-            return f"{label.action} ∘ {go(label.then_state, True, False)}"
-        left = go(label.then_state, True, False)
-        right = go(label.else_state, True, False)
-        body = f"{left} ⊴ {label.action} ⊵ {right}"
-        return f"({body})" if as_argument else body
+    def define(state: int) -> str:
+        out: list[str] = []
+        # Pending output, last first: literal text or (state, as an argument, being defined).
+        pending: list[str | tuple[int, bool, bool]] = [(state, False, True)]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            current, as_argument, defining = item
+            if current in named and not defining:
+                out.append(named[current])
+                continue
+            label = thread.states[current]
+            if not isinstance(label, PostNode):
+                out.append(str(label))
+            elif label.then_state == label.else_state:
+                out.append(f"{label.action} ∘ ")
+                pending.append((label.then_state, True, False))
+            else:
+                out.append("(" if as_argument else "")
+                pending.append(")" if as_argument else "")
+                pending.append((label.else_state, True, False))
+                pending.append(f" ⊴ {label.action} ⊵ ")
+                pending.append((label.then_state, True, False))
+        return "".join(out)
 
-    lines = [f"{name} = {go(state, False, True)}" for state, name in named.items()]
+    lines = [f"{name} = {define(state)}" for state, name in named.items()]
     return "\n".join(lines)
 
 

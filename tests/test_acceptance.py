@@ -326,3 +326,11 @@ def test_criterion_7_algebraic_laws():
                 if register.reply(method) is Reply.D:
                     assert derived.is_empty()
                     assert all(derived.reply(m) is Reply.D for m in methods)
+
+
+def test_criterion_8_parse_costs_per_distinct_token():
+    program = gen_3sat(5)
+    text = render(program)
+    with criterion(8, "parse the k=5 decider (9,026 instructions)", 0.030):
+        parsed = parse(text)
+    assert parsed == program

@@ -251,3 +251,45 @@ def test_run_trace_reports_the_reply_past_truncation(tmp_path, capsys):
     assert len(lines) == 10_002
     assert lines[-2] == "truncated (after 10000 steps)"
     assert lines[-1] == "f"
+
+
+def test_extract_long_straight_line_program_does_not_recurse(tmp_path, capsys):
+    path = write(tmp_path, "long.pga", "a; " * 3000 + "!t")
+    code, out, _ = run_cli(capsys, "extract", path)
+    assert code == 0
+    assert out.strip() == "E0 = " + "a ∘ " * 3000 + "S+"
+
+
+def test_unexpected_errors_exit_four(tmp_path, capsys, monkeypatch):
+    import pglb.cli as cli
+
+    def broken(_k):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "gen_3sat", broken)
+    code, out, err = run_cli(capsys, "gen", "3sat", "-k", "1")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert not out and err.strip() == "internal error: RuntimeError: boom"
+
+
+def test_the_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    import pglb.cli as cli
+
+    assert main(["lengths", "--max-k", "1"]) == 0
+
+    def rebuilt():
+        raise AssertionError("argparse tree rebuilt")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    path = write(tmp_path, "t.pga", "+in:1.get; !t; !f")
+    code, out, _ = run_cli(capsys, "run", path, "--in", "t", "--trace")
+    assert code == 0 and len(out.splitlines()) > 1
+    code, out, _ = run_cli(capsys, "run", path, "--in", "t")
+    assert code == 0 and out == "t\n"  # no --trace left over from the previous call
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        assert main(["run"]) == 2  # missing file argument
+        assert main(["run", path, "--aux", "-1"]) == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "run", path, "--in", "f")
+    assert code == 0 and out == "f\n"
