@@ -82,6 +82,10 @@ def test_parse_errors_carry_positions():
         parse("a; ?b")
     with pytest.raises(ParseError, match="2:1"):
         parse("a\n#x")
+    with pytest.raises(ParseError, match="^2:4: "):
+        parse("a; b\na; ?; ?\n?; a")  # a repeated bad token fails where it first appears
+    with pytest.raises(ParseError, match="^1:3001: "):
+        parse("a; " * 1000 + "#x; a")
     with pytest.raises(ParseError, match="empty"):
         parse("   // nothing here\n")
     with pytest.raises(ParseError, match="reserved"):

@@ -95,18 +95,6 @@ def test_a_bad_token_is_reported_at_its_first_position(lines, separator):
     assert (caught.value.line, caught.value.column) == first_bad
 
 
-def test_a_repeated_bad_token_is_reported_where_it_first_appears():
-    with pytest.raises(ParseError, match=r"^2:4: ") as caught:
-        parse("a; b\na; ?; ?\n?; a")
-    assert (caught.value.line, caught.value.column) == (2, 4)
-
-
-def test_a_bad_token_after_many_repeats_gets_its_column():
-    with pytest.raises(ParseError) as caught:
-        parse("a; " * 1000 + "#x; a")
-    assert (caught.value.line, caught.value.column) == (1, 3001)
-
-
 truth_tables = st.integers(0, 6).flatmap(
     lambda arity: st.lists(
         st.sampled_from((True, False, None)), min_size=2**arity, max_size=2**arity

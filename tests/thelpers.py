@@ -15,6 +15,7 @@ from pglb import (
     GET,
     InstructionSequence,
     NegTest,
+    PartialBooleanFunction,
     PosTest,
     PostNode,
     RegularThread,
@@ -28,6 +29,7 @@ from pglb import (
     TERM_F,
     TERM_T,
     boolean_register,
+    truth_table_length,
 )
 
 PLAIN_ACTIONS = tuple(Action(name) for name in ("a", "b", "c"))
@@ -169,8 +171,6 @@ def walk_with_taus(thread: RegularThread, family: ServiceFamily) -> tuple[int, s
 
 def reference_compile_truth_table(fn):
     """The truth-table compiler by its recursive definition: test the last input, jump over the t half."""
-    from pglb import PartialBooleanFunction, truth_table_length
-
     if fn.arity == 0:
         value = fn.entries[0]
         return (FwdJump(0),) if value is None else ((TERM_T if value else TERM_F),)
