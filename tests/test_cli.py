@@ -260,7 +260,7 @@ def test_extract_long_straight_line_program_does_not_recurse(tmp_path, capsys):
     assert out.strip() == "E0 = " + "a ∘ " * 3000 + "S+"
 
 
-def test_unexpected_errors_exit_four(tmp_path, capsys, monkeypatch):
+def test_unexpected_errors_exit_four(capsys, monkeypatch):
     import pglb.cli as cli
 
     def broken(_k):

@@ -39,7 +39,7 @@ methods = st.from_regex(r"[A-Za-z0-9_]{1,3}(:[A-Za-z0-9_]{1,3}){0,2}", fullmatch
 foci = st.one_of(
     st.integers(1, 12).map(Focus.input),
     st.integers(0, 12).map(Focus.aux),
-    identifiers.filter(lambda name: name not in ("in", "aux")).map(Focus.named),
+    identifiers.map(Focus.named),
 )
 actions = st.one_of(
     identifiers.filter(lambda name: name != "tau").map(Action),
