@@ -5,6 +5,8 @@ which no register family serves) and a named focus, with unknown methods,
 register indices out of range, jump cycles, backward jumps that leave the
 program and writes to input registers. The reference reply is the
 specification ``reply(use_apply(extract(p), aux family), input family)``.
+The compiler is checked field for field against its earlier definition, kept
+in ``thelpers`` as the reference, at every start position.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -25,11 +27,15 @@ from pglb import (
     compute,
     equivalence_check,
     extract,
+    parse,
     register_family,
+    render,
     reply,
     trace,
     use_apply,
 )
+from pglb.extraction import compile_program
+from thelpers import reference_compile_program
 
 FOCI = (
     [Focus.input(i) for i in range(1, 5)]
@@ -110,3 +116,14 @@ def test_equivalence_check_matches_a_compute_sweep(program, fn, aux_count):
             expected.append((bits, got, want))
     report = equivalence_check(program, fn, aux_count)
     assert [(m.inputs, m.got, m.expected) for m in report.mismatches] == expected
+
+
+@PROPERTY_SETTINGS
+@given(programs)
+def test_compile_program_matches_the_reference(program):
+    # The parsed copy shares one object per distinct instruction, as parse output does.
+    for sequence in (program, parse(render(program))):
+        for start in range(-1, len(sequence) + 4):
+            reference = reference_compile_program(sequence, start)
+            compiled = compile_program(sequence, start)
+            assert {name: getattr(compiled, name) for name in reference} == reference

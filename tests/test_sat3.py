@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pglb import (
     BwdJump,
@@ -98,6 +99,20 @@ def test_encode_decode_round_trip_random_shapes():
         for _ in range(50):
             formula = random_formula(rng, k, rng.randint(0, 6))
             assert decode(encode_cnf(formula), k) == formula
+
+
+formulas = st.integers(1, 4).flatmap(
+    lambda k: st.frozensets(
+        st.builds(ClauseShape, st.integers(1, k), st.integers(1, k), st.integers(1, k), st.integers(1, 8)),
+        max_size=40,
+    ).map(lambda clauses: CnfFormula(k, clauses))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas)
+def test_decode_inverts_encode(formula):
+    assert decode(encode_cnf(formula), formula.k) == formula
 
 
 def test_encoding_text_round_trip():

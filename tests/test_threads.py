@@ -22,7 +22,7 @@ from pglb import (
     thread_from_term,
     thread_to_dot,
 )
-from thelpers import duplicate_state, permute_states, random_thread
+from thelpers import duplicate_state, permute_states, random_thread, reference_bisimilar
 
 A, B, C, D_ACT = Action("a"), Action("b"), Action("c"), Action("d")
 
@@ -100,6 +100,17 @@ def test_bisimilar_is_an_equivalence_on_samples():
         assert bisimilar(t, u) and bisimilar(u, t)
         assert bisimilar(u, v)
         assert bisimilar(t, v)  # transitivity along the constructed chain
+
+
+def test_bisimilar_matches_partition_refinement():
+    rng = random.Random(6)
+    for trial in range(3000):
+        t = random_thread(rng, max_states=6)
+        if trial % 3 == 0:
+            u = duplicate_state(rng, permute_states(rng, t))
+        else:
+            u = random_thread(rng, max_states=6)
+        assert bisimilar(t, u) == reference_bisimilar(t, u)
 
 
 def test_aip_reflexive():

@@ -182,3 +182,134 @@ def reference_compile_truth_table(fn):
         FwdJump(truth_table_length(fn.arity - 1) + 1),
     )
     return head + on_true + on_false
+
+
+def reference_compile_program(sequence, start: int = 1) -> dict:
+    """The compiler with a memoised resolver closure called on every edge: the fields of its result.
+
+    Returns a dict from ``CompiledProgram`` field name to value, for the fields
+    this definition has.
+    """
+    from pglb.extraction import (
+        BANK_NONE,
+        M_OTHER,
+        OP_ACTION,
+        OP_DEADLOCK,
+        OP_FALSE,
+        OP_TAU,
+        OP_TRUE,
+        _BANKS,
+        _METHODS,
+    )
+    from pglb.isa import Termination
+
+    instructions = sequence.instructions
+    size = len(instructions)
+    resolved: dict = {}
+
+    def resolve(position):
+        chain: dict = {}
+        p = position
+        while True:
+            if p in resolved:
+                result = resolved[p]
+                break
+            if p < 1 or p > size:
+                result = 0
+                break
+            instruction = instructions[p - 1]
+            if isinstance(instruction, FwdJump):
+                target = p + instruction.offset
+            elif isinstance(instruction, BwdJump):
+                target = p - instruction.offset if p > instruction.offset else 0
+            else:
+                result = p
+                break
+            if p in chain:
+                result = None
+                break
+            chain[p] = None
+            p = target
+        for q in chain:
+            resolved[q] = result
+        return result
+
+    positions = [p for p, u in enumerate(instructions, 1) if not isinstance(u, (FwdJump, BwdJump))]
+    exit_state = len(positions)
+    cycle_state = exit_state + 1
+    state_of: list = [None] * (size + 1)
+    for state, p in enumerate(positions):
+        state_of[p] = state
+
+    def target(p):
+        if 0 < p <= size and state_of[p] is not None:
+            return state_of[p]
+        landing = resolve(p)
+        if landing is None:
+            return cycle_state
+        return exit_state if landing == 0 else state_of[landing]
+
+    rows = []
+    for state, p in enumerate(positions):
+        instruction = instructions[p - 1]
+        if isinstance(instruction, Termination):
+            op = OP_TRUE if instruction.positive else OP_FALSE
+            rows.append((op, BANK_NONE, 0, M_OTHER, state, state, None))
+            continue
+        act = instruction.action
+        focus = act.focus
+        if isinstance(instruction, Basic):
+            on_t = on_f = target(p + 1)
+        elif isinstance(instruction, PosTest):
+            on_t, on_f = target(p + 1), target(p + 2)
+        else:
+            on_t, on_f = target(p + 2), target(p + 1)
+        if focus is None:
+            op = OP_TAU if act == TAU else OP_ACTION
+            rows.append((op, BANK_NONE, 0, M_OTHER, on_t, on_f, act))
+        else:
+            bank = _BANKS.get(focus.kind, BANK_NONE)
+            method = _METHODS.get(act.name, M_OTHER)
+            rows.append((OP_ACTION, bank, focus.index or 0, method, on_t, on_f, act))
+    rows.append((OP_DEADLOCK, BANK_NONE, 0, M_OTHER, exit_state, exit_state, None))
+    rows.append((OP_DEADLOCK, BANK_NONE, 0, M_OTHER, cycle_state, cycle_state, None))
+    kind, bank, index, method, then_state, else_state, action = zip(*rows)
+    return {
+        "source": sequence,
+        "kind": kind,
+        "bank": bank,
+        "index": index,
+        "method": method,
+        "then_state": then_state,
+        "else_state": else_state,
+        "position": tuple(positions) + (0, None),
+        "action": action,
+        "root": target(start),
+        "exit_state": exit_state,
+    }
+
+
+def reference_bisimilar(left: RegularThread, right: RegularThread) -> bool:
+    """Bisimilarity by partition refinement: refine on (block, then-block, else-block) until stable."""
+    offset = len(left.states)
+    labels = list(left.states) + [
+        PostNode(l.action, l.then_state + offset, l.else_state + offset) if isinstance(l, PostNode) else l
+        for l in right.states
+    ]
+    classes: dict = {}
+    block = [
+        classes.setdefault(("post", l.action) if isinstance(l, PostNode) else (str(l),), len(classes))
+        for l in labels
+    ]
+    while True:
+        keys: dict = {}
+        new_block = []
+        for state, label in enumerate(labels):
+            if isinstance(label, PostNode):
+                key = (block[state], block[label.then_state], block[label.else_state])
+            else:
+                key = (block[state],)
+            new_block.append(keys.setdefault(key, len(keys)))
+        if new_block == block:
+            return block[left.root] == block[right.root + offset]
+        block = new_block
