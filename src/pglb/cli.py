@@ -68,7 +68,8 @@ def _cmd_project(args) -> int:
 
 def _cmd_run(args) -> int:
     program = _load_program(args.file)
-    for instruction in program:
+    # parse shares one object per distinct token: check each object once.
+    for instruction in {id(u): u for u in program.instructions}.values():
         if isinstance(instruction, (Basic, PosTest, NegTest)) and instruction.action.focus is None:
             print(f"non-service action '{instruction.action}'", file=sys.stderr)
             return EXIT_USAGE

@@ -15,7 +15,7 @@ Both the thread graph (:func:`extract_at`) and the execution walk in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from operator import add
 
 from .isa import (
     Action,
@@ -24,6 +24,7 @@ from .isa import (
     FwdJump,
     GET,
     InstructionSequence,
+    NegTest,
     PosTest,
     SET_F,
     SET_T,
@@ -43,46 +44,83 @@ _BANKS = {"in": BANK_IN, "aux": BANK_AUX}
 _METHODS = {GET: M_GET, SET_T: M_SET_T, SET_F: M_SET_F}
 
 
-def _jump_resolver(sequence: InstructionSequence) -> Callable[[int], int | None]:
-    """Memoised jump resolution over one sequence: each jump is followed once.
+# Kind of a jump's row head; no compiled state carries it.
+_JUMP_FWD, _JUMP_BWD = -1, -2
+# Successor offsets (on reply t, on reply f) of the instructions that perform an action.
+_BRANCH_OFFSETS = {Basic: (1, 1), PosTest: (1, 2), NegTest: (2, 1)}
 
-    The returned function maps a position to the first non-jump position
-    reached from it, 0 when the chain leaves the program, or None when the
-    jumps form a cycle (infinite jump chain).
+# Row head: kind, bank, index, method, action, then offset, else offset.
+_RowHead = tuple[int, int, int, int, "Action | None", int, int]
+_DEADLOCK_HEAD: _RowHead = (OP_DEADLOCK, BANK_NONE, 0, M_OTHER, None, 0, 0)
+
+
+def _row_head(instruction) -> _RowHead:
+    """The part of a state's row that depends only on its instruction.
+
+    The offsets lead from the instruction's position to the positions its
+    replies continue at. A termination's are 0, so it is its own successor;
+    a jump's kind is ``_JUMP_FWD`` or ``_JUMP_BWD`` and its offsets are the
+    jump's.
     """
-    instructions = sequence.instructions
-    size = len(instructions)
-    resolved: dict[int, int | None] = {}
+    offsets = _BRANCH_OFFSETS.get(type(instruction))
+    if offsets is None:
+        if isinstance(instruction, FwdJump):
+            return (_JUMP_FWD, BANK_NONE, 0, M_OTHER, None, instruction.offset, instruction.offset)
+        if isinstance(instruction, BwdJump):
+            return (_JUMP_BWD, BANK_NONE, 0, M_OTHER, None, instruction.offset, instruction.offset)
+        return (OP_TRUE if instruction.positive else OP_FALSE, BANK_NONE, 0, M_OTHER, None, 0, 0)
+    on_t, on_f = offsets
+    act = instruction.action
+    focus = act.focus
+    if focus is None:
+        return (OP_TAU if act == TAU else OP_ACTION, BANK_NONE, 0, M_OTHER, act, on_t, on_f)
+    bank = _BANKS.get(focus.kind, BANK_NONE)
+    method = _METHODS.get(act.name, M_OTHER)
+    return (OP_ACTION, bank, focus.index or 0, method, act, on_t, on_f)
 
-    def resolve(position: int) -> int | None:
+
+def _land_jumps(landing: list[int | None], heads: list[_RowHead], jumps: list[int], exit_state: int) -> bool:
+    """Fill in the state each jump position lands on: the one jump resolver.
+
+    ``landing`` covers positions 0..size+2 and holds None at each position
+    in ``jumps``; ``heads`` holds the row head of positions 1..size. A chain
+    of jumps that leaves the program lands on ``exit_state``, like position
+    0 and the positions past the end; one that returns to one of its jumps
+    (an infinite jump chain) lands on ``exit_state + 1``. Forward jumps are
+    resolved in one pass from last to first, since their target is resolved
+    by then; backward jumps, and forward chains into one, are followed
+    afterwards with cycle detection. Returns True when no jump is backward.
+    """
+    cycle_state = exit_state + 1
+    end = len(landing) - 1
+    acyclic = True
+    for p in reversed(jumps):
+        kind, offset = heads[p - 1][0], heads[p - 1][5]
+        if kind == _JUMP_BWD:
+            acyclic = False
+        elif offset == 0:
+            landing[p] = cycle_state
+        else:
+            landing[p] = landing[p + offset] if p + offset <= end else exit_state
+    if acyclic:
+        return True
+    # Every jump still unresolved targets a position in 0..size+2.
+    for p in jumps:
         chain: dict[int, None] = {}  # insertion-ordered set of the jumps followed
-        p = position
-        while True:
-            if p in resolved:
-                result = resolved[p]
+        q = p
+        while (result := landing[q]) is None:
+            if q in chain:
+                result = cycle_state
                 break
-            if p < 1 or p > size:
-                result = 0
-                break
-            instruction = instructions[p - 1]
-            if isinstance(instruction, FwdJump):
-                target = p + instruction.offset
-            elif isinstance(instruction, BwdJump):
-                # A backward jump that would leave the program lands on position 0.
-                target = p - instruction.offset if p > instruction.offset else 0
-            else:
-                result = p
-                break
-            if p in chain:
-                result = None
-                break
-            chain[p] = None
-            p = target
-        for q in chain:
-            resolved[q] = result
-        return result
-
-    return resolve
+            chain[q] = None
+            kind, offset = heads[q - 1][0], heads[q - 1][5]
+            if kind == _JUMP_FWD:
+                q += offset
+            else:  # a backward jump that would leave the program lands on position 0
+                q = q - offset if q > offset else 0
+        for c in chain:
+            landing[c] = result
+    return False
 
 
 def resolve_jumps(sequence: InstructionSequence, start: int) -> int | None:
@@ -91,7 +129,8 @@ def resolve_jumps(sequence: InstructionSequence, start: int) -> int | None:
     Returns the first non-jump position reached, 0 when the chain leaves the
     program, or None when the jumps form a cycle (infinite jump chain).
     """
-    return _jump_resolver(sequence)(start)
+    program = compile_program(sequence, start)
+    return program.position[program.root]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +142,9 @@ class CompiledProgram:
     ``exit_state + 1`` (an infinite jump chain; its position is None).
     ``then_state``/``else_state`` are the successors on reply t and f (equal
     for basic actions).
+
+    ``acyclic`` holds when the program has no backward jump. Then every edge
+    leads to a later state or a final one, so no run visits a state twice.
     """
 
     source: InstructionSequence
@@ -116,68 +158,53 @@ class CompiledProgram:
     action: tuple[Action | None, ...]
     root: int
     exit_state: int
+    acyclic: bool
 
 
 def compile_program(sequence: InstructionSequence, start: int = 1) -> CompiledProgram:
-    """Compile ``sequence`` into flat arrays, with the root at position ``start``."""
-    resolve = _jump_resolver(sequence)
+    """Compile ``sequence`` into flat arrays, with the root at position ``start``.
+
+    One pass over the positions, plus one row head per distinct instruction
+    object (``parse`` shares equal instructions), then the jumps resolved.
+    """
     instructions = sequence.instructions
-    positions = [
-        p for p, u in enumerate(instructions, 1) if not isinstance(u, (FwdJump, BwdJump))
-    ]
-    exit_state = len(positions)
-    cycle_state = exit_state + 1
     size = len(instructions)
-    state_of: list[int | None] = [None] * (size + 1)  # None at jumps and position 0
-    for state, p in enumerate(positions):
-        state_of[p] = state
-
-    def target(p: int) -> int:
-        if 0 < p <= size and state_of[p] is not None:
-            return state_of[p]  # type: ignore[return-value]
-        landing = resolve(p)
-        if landing is None:
-            return cycle_state
-        return exit_state if landing == 0 else state_of[landing]  # type: ignore[return-value]
-
-    # One row per state: kind, bank, index, method, then-state, else-state, action.
-    rows: list[tuple[int, int, int, int, int, int, Action | None]] = []
-    for state, p in enumerate(positions):
-        instruction = instructions[p - 1]
-        if isinstance(instruction, Termination):
-            op = OP_TRUE if instruction.positive else OP_FALSE
-            rows.append((op, BANK_NONE, 0, M_OTHER, state, state, None))
-            continue
-        act = instruction.action
-        focus = act.focus
-        if isinstance(instruction, Basic):
-            on_t = on_f = target(p + 1)
-        elif isinstance(instruction, PosTest):
-            on_t, on_f = target(p + 1), target(p + 2)
-        else:  # NegTest: complementary branch roles
-            on_t, on_f = target(p + 2), target(p + 1)
-        if focus is None:
-            op = OP_TAU if act == TAU else OP_ACTION
-            rows.append((op, BANK_NONE, 0, M_OTHER, on_t, on_f, act))
+    heads_by_id: dict[int, _RowHead] = {}
+    heads: list[_RowHead] = []
+    rows: list[_RowHead] = []  # the heads of the states, in state order
+    positions: list[int] = []
+    jumps: list[int] = []
+    landing: list[int | None] = [None] * (size + 3)  # state reached from positions 0..size+2
+    for p, instruction in enumerate(instructions, 1):
+        head = heads_by_id.get(id(instruction))
+        if head is None:
+            head = heads_by_id[id(instruction)] = _row_head(instruction)
+        heads.append(head)
+        if head[0] >= 0:
+            landing[p] = len(positions)
+            positions.append(p)
+            rows.append(head)
         else:
-            bank = _BANKS.get(focus.kind, BANK_NONE)
-            method = _METHODS.get(act.name, M_OTHER)
-            rows.append((OP_ACTION, bank, focus.index or 0, method, on_t, on_f, act))
-    rows.append((OP_DEADLOCK, BANK_NONE, 0, M_OTHER, exit_state, exit_state, None))
-    rows.append((OP_DEADLOCK, BANK_NONE, 0, M_OTHER, cycle_state, cycle_state, None))
-    kind, bank, index, method, then_state, else_state, action = zip(*rows)
+            jumps.append(p)
+    exit_state = len(positions)
+    landing[0] = landing[size + 1] = landing[size + 2] = exit_state
+    acyclic = _land_jumps(landing, heads, jumps, exit_state)
+    rows += (_DEADLOCK_HEAD, _DEADLOCK_HEAD)
+    kind, bank, index, method, action, on_t, on_f = zip(*rows)
+    finals = (exit_state, exit_state + 1)  # the deadlock states lead to themselves
     return CompiledProgram(
         source=sequence,
         kind=kind,
         bank=bank,
         index=index,
         method=method,
-        then_state=then_state,
-        else_state=else_state,
+        then_state=tuple(map(landing.__getitem__, map(add, positions, on_t))) + finals,
+        else_state=tuple(map(landing.__getitem__, map(add, positions, on_f))) + finals,
         position=tuple(positions) + (0, None),
         action=action,
-        root=target(start),
+        root=landing[start] if 0 <= start <= size + 2 else exit_state,  # type: ignore[arg-type]
         exit_state=exit_state,
+        acyclic=acyclic,
     )
 
 

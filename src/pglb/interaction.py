@@ -192,6 +192,12 @@ def walk(
     :class:`StateSpaceCapExceeded` when the run visits more than
     ``max_states`` configurations.
 
+    When the program is ``acyclic`` and ``exit_state <= max_states``, the
+    walk keeps no set of configurations and checks no cap: every step moves
+    to a later state, so no configuration can repeat, and the run visits at
+    most ``exit_state`` configurations, within the cap. The result is the
+    same as with the set.
+
     With a ``steps`` list, one :class:`TraceStep` per visited state is
     appended until ``max_steps`` records, then a truncation marker; the walk
     goes on to the reply either way.
@@ -204,6 +210,9 @@ def walk(
     log: list[TraceStep] = steps if steps is not None else []
     aux = ((1 << aux_count) - 1) << 1
     seen: set[tuple[int, int, int]] = set()
+    # Without a backward jump no state is visited twice, so no configuration
+    # repeats and at most exit_state are visited: the checks cannot fire.
+    tracking = not (program.acyclic and program.exit_state <= max_states)
     state = program.root
     while True:
         if recording and len(log) >= max_steps:
@@ -215,18 +224,19 @@ def walk(
             if recording:
                 log.append(_step(program, state, "terminate", answer))
             return answer
-        key = (state, aux, inputs)
-        if key in seen:
-            if recording:
-                log.append(
-                    TraceStep(
-                        "divergent", position=program.position[state], note="configuration cycle", reply=Reply.D
+        if tracking:
+            key = (state, aux, inputs)
+            if key in seen:
+                if recording:
+                    log.append(
+                        TraceStep(
+                            "divergent", position=program.position[state], note="configuration cycle", reply=Reply.D
+                        )
                     )
-                )
-            return Reply.D
-        seen.add(key)
-        if len(seen) > max_states:
-            raise StateSpaceCapExceeded(f"a run visited more than {max_states} configurations")
+                return Reply.D
+            seen.add(key)
+            if len(seen) > max_states:
+                raise StateSpaceCapExceeded(f"a run visited more than {max_states} configurations")
         b, i = bank[state], index[state]
         if b == BANK_AUX and 0 < i <= aux_count:
             regs = aux

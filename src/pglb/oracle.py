@@ -69,6 +69,10 @@ class EquivalenceReport:
         return f"{len(self.mismatches)} mismatching input(s) out of {2 ** self.arity}"
 
 
+# The reply a table entry asks for: an undefined entry must come out as d.
+_EXPECTED = {True: Reply.T, False: Reply.F, None: Reply.D}
+
+
 def equivalence_check(
     sequence: InstructionSequence, fn: PartialBooleanFunction, aux_count: int = 0
 ) -> EquivalenceReport:
@@ -84,7 +88,7 @@ def equivalence_check(
     # Table index j has input i at bit i-1; the walk wants in:i at bit i.
     for j, entry in enumerate(fn.entries):
         got = walk(program, j << 1, arity, aux_count)
-        expected = Reply.D if entry is None else Reply.of(entry)
+        expected = _EXPECTED[entry]
         if got is not expected:
             bits = tuple(bool(j >> i & 1) for i in range(arity))
             mismatches.append(Mismatch(bits, got, expected))

@@ -245,11 +245,14 @@ def _label_class(label: StateLabel):
 
 
 def bisimilar(left: RegularThread, right: RegularThread) -> bool:
-    """Behavioural equality of regular threads, by partition refinement.
+    """Behavioural equality of regular threads, by Hopcroft and Karp's union-find.
 
-    Sound and complete for finite graphs: blocks are refined on (action,
-    then-block, else-block) until stable, then the two roots must share a
-    block.
+    Sound and complete for finite graphs. Starting from the two roots, each
+    pair of states assumed equal merges two classes; merged states must
+    carry the same label class (the same action, or the same terminal), and
+    their then-successors and their else-successors are assumed equal in
+    turn. Each merge pushes at most two pairs, so the work is nearly linear
+    in the number of states.
     """
     offset = len(left.states)
     labels = list(left.states) + [
@@ -258,20 +261,30 @@ def bisimilar(left: RegularThread, right: RegularThread) -> bool:
         else l
         for l in right.states
     ]
-    classes: dict[object, int] = {}
-    block = [classes.setdefault(_label_class(l), len(classes)) for l in labels]
-    while True:
-        keys: dict[object, int] = {}
-        new_block = []
-        for state, label in enumerate(labels):
-            if isinstance(label, PostNode):
-                key = (block[state], block[label.then_state], block[label.else_state])
-            else:
-                key = (block[state],)
-            new_block.append(keys.setdefault(key, len(keys)))
-        if new_block == block:
-            return block[left.root] == block[right.root + offset]
-        block = new_block
+    parent = list(range(len(labels)))
+
+    def find(state: int) -> int:
+        root = state
+        while parent[root] != root:
+            root = parent[root]
+        while parent[state] != root:  # path compression
+            parent[state], state = root, parent[state]
+        return root
+
+    pending = [(left.root, right.root + offset)]
+    while pending:
+        a, b = pending.pop()
+        root_a, root_b = find(a), find(b)
+        if root_a == root_b:
+            continue
+        parent[root_a] = root_b
+        label_a, label_b = labels[a], labels[b]
+        if _label_class(label_a) != _label_class(label_b):
+            return False
+        if isinstance(label_a, PostNode):
+            pending.append((label_a.then_state, label_b.then_state))
+            pending.append((label_a.else_state, label_b.else_state))
+    return True
 
 
 def aip_equal(left: RegularThread, right: RegularThread, depth: int) -> bool:

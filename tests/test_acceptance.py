@@ -334,3 +334,12 @@ def test_criterion_8_parse_costs_per_distinct_token():
     with criterion(8, "parse the k=5 decider (9,026 instructions)", 0.030):
         parsed = parse(text)
     assert parsed == program
+
+
+def test_criterion_9_verify_sweeps_arity_14():
+    rng = random.Random(9)
+    fn = PartialBooleanFunction(14, tuple(rng.choice((True, False, None)) for _ in range(2**14)))
+    program = compile_truth_table(fn)
+    with criterion(9, "verify a compiled arity-14 table (16,384 inputs)", 0.3):
+        report = equivalence_check(program, fn)
+    assert report.ok

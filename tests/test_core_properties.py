@@ -6,8 +6,11 @@ register indices out of range, jump cycles, backward jumps that leave the
 program and writes to input registers. The reference reply is the
 specification ``reply(use_apply(extract(p), aux family), input family)``.
 The compiler is checked field for field against its earlier definition, kept
-in ``thelpers`` as the reference, at every start position.
+in ``thelpers`` as the reference, at every start position, and a loop-free
+walk without a configuration set against the same walk with one.
 """
+
+import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +25,7 @@ from pglb import (
     PartialBooleanFunction,
     PosTest,
     Reply,
+    StateSpaceCapExceeded,
     TERM_F,
     TERM_T,
     compute,
@@ -35,6 +39,7 @@ from pglb import (
     use_apply,
 )
 from pglb.extraction import compile_program
+from pglb.interaction import walk
 from thelpers import reference_compile_program
 
 FOCI = (
@@ -127,3 +132,32 @@ def test_compile_program_matches_the_reference(program):
             reference = reference_compile_program(sequence, start)
             compiled = compile_program(sequence, start)
             assert {name: getattr(compiled, name) for name in reference} == reference
+            assert compiled.acyclic is not any(isinstance(u, BwdJump) for u in sequence)
+
+
+loop_free_programs = st.lists(
+    st.one_of(instructions, looping_instructions).filter(lambda u: not isinstance(u, BwdJump)),
+    min_size=1,
+    max_size=10,
+).map(lambda body: InstructionSequence(tuple(body)))
+
+
+def _outcome(program, inputs, aux_count, max_states):
+    """Reply and trace records of one walk, or the exception it raised."""
+    packed = sum(1 << i for i, b in enumerate(inputs, 1) if b)
+    steps = []
+    try:
+        answer = walk(program, packed, len(inputs), aux_count, max_states, steps, 10_000)
+    except StateSpaceCapExceeded as exc:
+        return type(exc), str(exc)
+    return answer, steps
+
+
+@PROPERTY_SETTINGS
+@given(loop_free_programs, input_vectors, aux_counts, st.integers(1, 6))
+def test_a_loop_free_walk_keeps_no_configuration_set(program, inputs, aux_count, max_states):
+    compiled = compile_program(program)
+    assert compiled.acyclic
+    tracked = dataclasses.replace(compiled, acyclic=False)
+    for cap in (max_states, 500_000):
+        assert _outcome(compiled, inputs, aux_count, cap) == _outcome(tracked, inputs, aux_count, cap)

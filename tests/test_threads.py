@@ -1,6 +1,7 @@
 """Projection, bisimilarity and term/graph utilities."""
 
 import random
+import time
 
 import pytest
 
@@ -111,6 +112,18 @@ def test_bisimilar_matches_partition_refinement():
         else:
             u = random_thread(rng, max_states=6)
         assert bisimilar(t, u) == reference_bisimilar(t, u)
+
+
+def test_bisimilar_compares_long_chains_quickly():
+    loop = RegularThread((PostNode(A, 0, 0),), 0)
+    chain = thread_from_term(project(loop, 20_000))
+    same = thread_from_term(project(loop, 20_000))
+    shorter = thread_from_term(project(loop, 19_999))
+    assert len(chain.states) == 20_001
+    started = time.perf_counter()
+    assert bisimilar(chain, same)
+    assert not bisimilar(chain, shorter)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_aip_reflexive():
