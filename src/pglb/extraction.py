@@ -23,13 +23,13 @@ from .isa import (
     BwdJump,
     FwdJump,
     GET,
+    Instruction,
     InstructionSequence,
     NegTest,
     PosTest,
     SET_F,
     SET_T,
     TAU,
-    Termination,
 )
 from .threads import DEADLOCK, PostNode, RegularThread, S_MINUS, S_PLUS, StateLabel
 
@@ -54,7 +54,7 @@ _RowHead = tuple[int, int, int, int, "Action | None", int, int]
 _DEADLOCK_HEAD: _RowHead = (OP_DEADLOCK, BANK_NONE, 0, M_OTHER, None, 0, 0)
 
 
-def _row_head(instruction) -> _RowHead:
+def _row_head(instruction: Instruction) -> _RowHead:
     """The part of a state's row that depends only on its instruction.
 
     The offsets lead from the instruction's position to the positions its

@@ -210,8 +210,6 @@ def walk(
     log: list[TraceStep] = steps if steps is not None else []
     aux = ((1 << aux_count) - 1) << 1
     seen: set[tuple[int, int, int]] = set()
-    # Without a backward jump no state is visited twice, so no configuration
-    # repeats and at most exit_state are visited: the checks cannot fire.
     tracking = not (program.acyclic and program.exit_state <= max_states)
     state = program.root
     while True:

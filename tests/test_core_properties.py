@@ -39,7 +39,7 @@ from pglb import (
     use_apply,
 )
 from pglb.extraction import compile_program
-from pglb.interaction import walk
+from pglb.interaction import DEFAULT_STATE_CAP, walk
 from thelpers import reference_compile_program
 
 FOCI = (
@@ -159,5 +159,5 @@ def test_a_loop_free_walk_keeps_no_configuration_set(program, inputs, aux_count,
     compiled = compile_program(program)
     assert compiled.acyclic
     tracked = dataclasses.replace(compiled, acyclic=False)
-    for cap in (max_states, 500_000):
+    for cap in (max_states, DEFAULT_STATE_CAP):
         assert _outcome(compiled, inputs, aux_count, cap) == _outcome(tracked, inputs, aux_count, cap)
