@@ -12,6 +12,7 @@ walk without a configuration set against the same walk with one.
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pglb import (
@@ -40,7 +41,7 @@ from pglb import (
 )
 from pglb.extraction import compile_program
 from pglb.interaction import DEFAULT_STATE_CAP, walk
-from thelpers import reference_compile_program
+from thelpers import reference_compile_program, reference_equivalence_check
 
 FOCI = (
     [Focus.input(i) for i in range(1, 5)]
@@ -101,16 +102,16 @@ def test_trace_ends_with_the_computed_reply(program, inputs, aux_count):
     assert steps[-1].reply is compute(program, inputs, aux_count)
 
 
-@PROPERTY_SETTINGS
-@given(
-    programs,
-    st.integers(0, 3).flatmap(
+def tables(max_arity: int):
+    return st.integers(0, max_arity).flatmap(
         lambda arity: st.lists(
             st.sampled_from((True, False, None)), min_size=2**arity, max_size=2**arity
         ).map(lambda entries: PartialBooleanFunction(arity, tuple(entries)))
-    ),
-    aux_counts,
-)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(programs, tables(3), aux_counts)
 def test_equivalence_check_matches_a_compute_sweep(program, fn, aux_count):
     expected = []
     for bits in fn.inputs():
@@ -121,6 +122,23 @@ def test_equivalence_check_matches_a_compute_sweep(program, fn, aux_count):
             expected.append((bits, got, want))
     report = equivalence_check(program, fn, aux_count)
     assert [(m.inputs, m.got, m.expected) for m in report.mismatches] == expected
+
+
+@PROPERTY_SETTINGS
+@given(programs, tables(5), aux_counts)
+def test_equivalence_check_matches_the_per_input_sweep(program, fn, aux_count):
+    report = equivalence_check(program, fn, aux_count)
+    reference = reference_equivalence_check(program, fn, aux_count)
+    assert report == reference
+    assert [str(m) for m in report.mismatches] == [str(m) for m in reference.mismatches]
+
+
+def test_a_negative_aux_count_is_rejected_on_both_paths():
+    fn = PartialBooleanFunction(1, (True, False))
+    # One program has neither a backward jump nor a register write; the other has both.
+    for text in ("+in:1.get; !t; !f", "+in:1.set:t; !t; \\#2"):
+        with pytest.raises(ValueError, match="aux_count"):
+            equivalence_check(parse(text), fn, -1)
 
 
 @PROPERTY_SETTINGS
