@@ -11,7 +11,9 @@ deadlocks, meets an unserved action, or never terminates.
 on :func:`walk`, one loop over a compiled program whose register files are
 two packed ints; ``compute``, ``trace`` and the oracle's equivalence sweep
 all call it, so a run costs the steps it takes, not the size of the
-product of thread and registers.
+product of thread and registers. :func:`reply_sets` gives the replies of
+all inputs of a loop-free program that writes no register in one pass over
+its states, with sets of inputs held as bit masks.
 """
 
 from __future__ import annotations
@@ -201,6 +203,9 @@ def walk(
     With a ``steps`` list, one :class:`TraceStep` per visited state is
     appended until ``max_steps`` records, then a truncation marker; the walk
     goes on to the reply either way.
+
+    :func:`reply_sets` implements the same rules for all inputs at once;
+    a change to one must be made to the other.
     """
     if aux_count < 0:
         raise ValueError("aux_count must be >= 0")
@@ -269,6 +274,84 @@ def walk(
         else:
             inputs = regs
         state = then_state[state] if bit else else_state[state]
+
+
+def _input_masks(input_count: int) -> list[int]:
+    """``masks[i]``: the table indices with bit i-1 set, as a bit mask; ``masks[0]`` is 0.
+
+    Built by doubling: adding an input copies every mask into the upper
+    half of the table, where the new input's mask is all ones.
+    """
+    masks = [0]
+    width, full = 1, 1
+    for _ in range(input_count):
+        masks = [m | m << width for m in masks]
+        masks.append(full << width)
+        full |= full << width
+        width <<= 1
+    return masks
+
+
+def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -> tuple[int, int, int] | None:
+    """The inputs whose runs reply t, f and d, as bit masks over table indices; or None.
+
+    Bit j of each mask stands for the input whose register in:i holds bit
+    i-1 of j, the run ``walk(program, j << 1, input_count, aux_count)``
+    takes. The three masks split all 2^input_count inputs. Applies when the
+    program is ``acyclic``, has at most ``DEFAULT_STATE_CAP`` non-jump
+    states (so the walk keeps no configuration set and cannot trip its cap)
+    and writes no register; returns None otherwise.
+
+    One pass visits the states in index order from the root, which is a
+    topological order, since every edge of an acyclic program leads to a
+    later state or a final one. ``reach[s]`` holds the inputs whose run
+    reaches state s. The rules are :func:`walk`'s, applied to a set of
+    inputs at once: a served ``get`` on in:i splits the set by bit i-1, a
+    served ``get`` on aux goes to the then-branch (aux registers start at t
+    and nothing writes them), tau goes to the then-branch, and everything
+    else the walk answers d for goes to the d set.
+    """
+    if aux_count < 0:
+        raise ValueError("aux_count must be >= 0")
+    method = program.method
+    if (
+        not program.acyclic
+        or program.exit_state > DEFAULT_STATE_CAP
+        or M_SET_T in method
+        or M_SET_F in method
+    ):
+        return None
+    kind, bank, index = program.kind, program.bank, program.index
+    then_state, else_state = program.then_state, program.else_state
+    masks = _input_masks(input_count)
+    reach = [0] * len(kind)
+    reach[program.root] = (1 << (1 << input_count)) - 1
+    finals = [0, 0, 0]  # the t, f and d sets, by op kind from OP_TRUE on
+    for state in range(program.root, len(kind)):
+        here = reach[state]
+        if not here:
+            continue
+        op = kind[state]
+        if op >= OP_TRUE:
+            finals[op - OP_TRUE] |= here
+            continue
+        b, i = bank[state], index[state]
+        if b == BANK_AUX and 0 < i <= aux_count:
+            on = here
+        elif b == BANK_IN and i <= input_count:
+            on = here & masks[i]
+        elif op == OP_TAU:
+            reach[then_state[state]] |= here
+            continue
+        else:
+            finals[2] |= here
+            continue
+        if method[state] != M_GET:
+            finals[2] |= here
+            continue
+        reach[then_state[state]] |= on
+        reach[else_state[state]] |= here ^ on
+    return finals[0], finals[1], finals[2]
 
 
 def _pack_inputs(inputs: list[bool] | tuple[bool, ...]) -> int:

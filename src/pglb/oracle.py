@@ -2,10 +2,11 @@
 
 The references take none of the program's code paths: a circuit is
 evaluated gate by gate and a table is looked up. The program side of an
-equivalence sweep runs on the interaction layer's one execution walk
-(:func:`pglb.interaction.walk`), compiled once and walked once per input;
-a program counts as correct only when its runs agree with the reference on
-every input.
+equivalence sweep is compiled once. A program without backward jumps or
+register writes gets the replies of all inputs from one pass over its
+states (:func:`pglb.interaction.reply_sets`); any other is walked once per
+input (:func:`pglb.interaction.walk`). A program counts as correct only
+when its runs agree with the reference on every input.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 from .errors import InfeasibleArityError
 from .extraction import compile_program
-from .interaction import walk
+from .interaction import reply_sets, walk
 from .isa import InstructionSequence
 from .services import Reply
 from .synthesis import AND, Circuit, InputRef, NOT, PartialBooleanFunction
@@ -71,6 +72,21 @@ class EquivalenceReport:
 
 # The reply a table entry asks for: an undefined entry must come out as d.
 _EXPECTED = {True: Reply.T, False: Reply.F, None: Reply.D}
+# A table's entries as one character each, and the digits that pick out the entries asking for t and f.
+_ENTRY_CHAR = {True: "t", False: "f", None: "u"}
+_WANT_T = str.maketrans("tfu", "100")
+_WANT_F = str.maketrans("tfu", "010")
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    digits = f"{mask:b}"[::-1]
+    found = []
+    j = digits.find("1")
+    while j >= 0:
+        found.append(j)
+        j = digits.find("1", j + 1)
+    return found
 
 
 def equivalence_check(
@@ -78,17 +94,33 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Sweep all 2^k inputs; an empty report certifies that the program computes fn.
 
-    Undefined table entries must come out as reply d.
+    Undefined table entries must come out as reply d. Where
+    :func:`pglb.interaction.reply_sets` applies, the replies of all inputs
+    come from its one pass over the program's states; otherwise each input
+    is walked on its own.
     """
     if fn.arity > 20:
         raise InfeasibleArityError(f"sweep over 2^{fn.arity} inputs refused")
     program = compile_program(sequence)
     arity = fn.arity
-    mismatches: list[Mismatch] = []
+    sets = reply_sets(program, arity, aux_count)
     # Table index j has input i at bit i-1; the walk wants in:i at bit i.
-    for j, entry in enumerate(fn.entries):
-        got = walk(program, j << 1, arity, aux_count)
-        expected = _EXPECTED[entry]
+    if sets is None:
+        wrong = ((j, walk(program, j << 1, arity, aux_count)) for j in range(len(fn.entries)))
+    else:
+        digits = "".join(map(_ENTRY_CHAR.__getitem__, reversed(fn.entries)))
+        want_t = int(digits.translate(_WANT_T), 2)
+        want_f = int(digits.translate(_WANT_F), 2)
+        want_d = ((1 << len(fn.entries)) - 1) ^ want_t ^ want_f
+        # The three sets are disjoint, so the indices are distinct.
+        wrong = sorted(
+            (j, got)
+            for got, got_mask, want in zip((Reply.T, Reply.F, Reply.D), sets, (want_t, want_f, want_d))
+            for j in _set_bits(got_mask & ~want)
+        )
+    mismatches: list[Mismatch] = []
+    for j, got in wrong:
+        expected = _EXPECTED[fn.entries[j]]
         if got is not expected:
             bits = tuple(bool(j >> i & 1) for i in range(arity))
             mismatches.append(Mismatch(bits, got, expected))

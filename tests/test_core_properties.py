@@ -27,6 +27,7 @@ from pglb import (
     PosTest,
     Reply,
     StateSpaceCapExceeded,
+    TAU,
     TERM_F,
     TERM_T,
     compute,
@@ -40,7 +41,7 @@ from pglb import (
     use_apply,
 )
 from pglb.extraction import compile_program
-from pglb.interaction import DEFAULT_STATE_CAP, walk
+from pglb.interaction import DEFAULT_STATE_CAP, reply_sets, walk
 from thelpers import reference_compile_program, reference_equivalence_check
 
 FOCI = (
@@ -139,6 +140,8 @@ def test_a_negative_aux_count_is_rejected_on_both_paths():
     for text in ("+in:1.get; !t; !f", "+in:1.set:t; !t; \\#2"):
         with pytest.raises(ValueError, match="aux_count"):
             equivalence_check(parse(text), fn, -1)
+        with pytest.raises(ValueError, match="aux_count"):
+            reply_sets(compile_program(parse(text)), 1, -1)
 
 
 @PROPERTY_SETTINGS
@@ -179,3 +182,45 @@ def test_a_loop_free_walk_keeps_no_configuration_set(program, inputs, aux_count,
     tracked = dataclasses.replace(compiled, acyclic=False)
     for cap in (max_states, DEFAULT_STATE_CAP):
         assert _outcome(compiled, inputs, aux_count, cap) == _outcome(tracked, inputs, aux_count, cap)
+
+
+def _writes(instruction) -> bool:
+    return isinstance(instruction, (Basic, PosTest, NegTest)) and instruction.action.name in ("set:t", "set:f")
+
+
+# Without backward jumps and register writes, but with flip, aux:0, the named focus and tau.
+read_only_loop_free_bodies = st.lists(
+    st.one_of(
+        instructions.filter(lambda u: not isinstance(u, BwdJump) and not _writes(u)),
+        st.sampled_from((Basic(TAU), PosTest(TAU), NegTest(TAU))),
+    ),
+    min_size=1,
+    max_size=10,
+)
+writes = st.builds(Action, st.sampled_from(("set:t", "set:f")), st.sampled_from(FOCI))
+loops_or_writes = st.one_of(
+    st.builds(BwdJump, st.integers(0, 8)),
+    st.builds(Basic, writes),
+    st.builds(PosTest, writes),
+    st.builds(NegTest, writes),
+)
+
+
+@PROPERTY_SETTINGS
+@given(read_only_loop_free_bodies, st.integers(0, 5), aux_counts, loops_or_writes, st.data())
+def test_reply_sets_match_a_walk_per_input(body, input_count, aux_count, extra, data):
+    compiled = compile_program(InstructionSequence(tuple(body)))
+    walked = {Reply.T: 0, Reply.F: 0, Reply.D: 0}
+    for j in range(1 << input_count):
+        walked[walk(compiled, j << 1, input_count, aux_count)] |= 1 << j
+    assert reply_sets(compiled, input_count, aux_count) == (walked[Reply.T], walked[Reply.F], walked[Reply.D])
+    at = data.draw(st.integers(0, len(body)))
+    changed = InstructionSequence(tuple(body[:at]) + (extra,) + tuple(body[at:]))
+    assert reply_sets(compile_program(changed), input_count, aux_count) is None
+
+
+def test_reply_sets_leave_programs_over_the_state_cap_to_the_walk(monkeypatch):
+    compiled = compile_program(parse("+in:1.get; !t; !f"))
+    assert reply_sets(compiled, 1) == (0b10, 0b01, 0)
+    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", compiled.exit_state - 1)
+    assert reply_sets(compiled, 1) is None
