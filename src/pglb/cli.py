@@ -129,6 +129,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# lengths prints exact integers; the loop-free length at k=13 has 5,291 digits, past Python's
+# default limit of 4,300 for converting an int to text.
+MAX_LENGTHS_K = 12
+
+
+def _lengths_k(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_LENGTHS_K:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_LENGTHS_K}")
+    return value
+
+
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -191,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
 
     lengths = commands.add_parser("lengths", help="loop-free vs backward-jump program sizes")
-    lengths.add_argument("--max-k", type=_positive_int, default=4)
+    lengths.add_argument("--max-k", type=_lengths_k, default=4, help=f"1..{MAX_LENGTHS_K}")
     lengths.set_defaults(func=_cmd_lengths)
 
     return parser

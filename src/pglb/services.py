@@ -27,13 +27,6 @@ class Reply(Enum):
             return value
         return Reply.T if value else Reply.F
 
-    @staticmethod
-    def from_text(text: str) -> "Reply":
-        try:
-            return Reply(text)
-        except ValueError:
-            raise ValueError(f"not a reply value: {text!r}") from None
-
     def __str__(self) -> str:
         return self.value
 

@@ -237,9 +237,12 @@ def parse_truth_table(text: str) -> PartialBooleanFunction:
         if index in rows:
             raise ParseError(f"duplicate row {pattern!r}", lineno)
         rows[index] = None if value_text == "u" else value_text == "t"
-    if len(rows) != 2**arity:
-        raise ParseError(f"table needs {2 ** arity} rows, found {len(rows)}")
-    return PartialBooleanFunction(arity, tuple(map(rows.__getitem__, range(len(rows)))))
+    # The count is 2^arity when it is a power of two of arity + 1 bits. The header is untrusted,
+    # so 2^arity itself is not computed: at k 100000 it would be a 100,001-bit int.
+    count = len(rows)
+    if count & (count - 1) or count.bit_length() != arity + 1:
+        raise ParseError(f"table needs 2^{arity} rows, found {count}")
+    return PartialBooleanFunction(arity, tuple(map(rows.__getitem__, range(count))))
 
 
 def format_truth_table(fn: PartialBooleanFunction) -> str:

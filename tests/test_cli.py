@@ -180,6 +180,26 @@ def test_lengths_table(capsys):
     assert lines[2].split("\t") == ["2", str(3 * 2**64 - 2), str(72 * 8 + 10 + 1)]
 
 
+def test_lengths_rejects_a_max_k_whose_lengths_cannot_be_printed(capsys):
+    code, out, err = run_cli(capsys, "lengths", "--max-k", "13")
+    assert code == 2
+    assert out == ""
+    assert "--max-k" in err
+    code, out, _ = run_cli(capsys, "lengths", "--max-k", "12")
+    assert code == 0
+    assert len(out.splitlines()) == 13
+
+
+def test_a_huge_table_header_is_a_parse_error(tmp_path, capsys):
+    table_path = write(tmp_path, "big.tt", "k 100000\n")
+    program_path = write(tmp_path, "p.pga", "+in:1.get; !t; !f\n")
+    for argv in (("compile", "tt", table_path), ("verify", program_path, "--tt", table_path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "table needs 2^100000 rows, found 0" in err
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
     path = write(tmp_path, "p.pga", LOOP_PROGRAM)
     first = run_cli(capsys, "extract", path)
