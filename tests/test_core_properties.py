@@ -7,7 +7,11 @@ program and writes to input registers. The reference reply is the
 specification ``reply(use_apply(extract(p), aux family), input family)``.
 The compiler is checked field for field against its earlier definition, kept
 in ``thelpers`` as the reference, at every start position, and a loop-free
-walk without a configuration set against the same walk with one.
+walk without a configuration set against the same walk with one. The
+one-pass reply sets of a loop-free program that writes no register are
+checked against a walk per input, and the equivalence sweep against its
+per-input definition. Rewriting a jump as one jump straight to where its
+chain lands leaves the extracted thread bisimilar.
 """
 
 import dataclasses
@@ -30,6 +34,7 @@ from pglb import (
     TAU,
     TERM_F,
     TERM_T,
+    bisimilar,
     compute,
     equivalence_check,
     extract,
@@ -224,3 +229,38 @@ def test_reply_sets_leave_programs_over_the_state_cap_to_the_walk(monkeypatch):
     assert reply_sets(compiled, 1) == (0b10, 0b01, 0)
     monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", compiled.exit_state - 1)
     assert reply_sets(compiled, 1) is None
+
+
+def _landing(body, p: int) -> int | None:
+    """Where the jump chain from position p lands: a non-jump position, 0 when it leaves, None on a cycle."""
+    followed = set()
+    while 1 <= p <= len(body) and isinstance(body[p - 1], (FwdJump, BwdJump)):
+        if p in followed:
+            return None
+        followed.add(p)
+        jump = body[p - 1]
+        p = p + jump.offset if isinstance(jump, FwdJump) else p - jump.offset
+    return p if 1 <= p <= len(body) else 0
+
+
+def _direct_jump(p: int, landing: int | None, size: int):
+    """One jump from position p straight to ``landing``: past the end when it is 0, ``#0`` on a cycle."""
+    if landing is None:
+        return FwdJump(0)
+    if landing == 0:
+        return FwdJump(size + 1 - p)
+    return FwdJump(landing - p) if landing > p else BwdJump(p - landing)
+
+
+@PROPERTY_SETTINGS
+@given(programs)
+def test_bisimilarity_is_invariant_under_jump_chain_rewrites(program):
+    body = program.instructions
+    thread = extract(program)
+    direct = list(body)
+    for p, instruction in enumerate(body, 1):
+        if isinstance(instruction, (FwdJump, BwdJump)):
+            jump = _direct_jump(p, _landing(body, p), len(body))
+            direct[p - 1] = jump
+            assert bisimilar(thread, extract(InstructionSequence(body[: p - 1] + (jump,) + body[p:])))
+    assert bisimilar(thread, extract(InstructionSequence(tuple(direct))))
