@@ -217,9 +217,12 @@ def parse_truth_table(text: str) -> PartialBooleanFunction:
     if not lines or not lines[0].startswith("k"):
         raise ParseError("first line must be 'k <arity>'", 1)
     fields = lines[0].split()
-    if len(fields) != 2 or not fields[1].isdigit():
+    if len(fields) != 2 or not fields[1].isascii() or not fields[1].isdigit():
         raise ParseError("first line must be 'k <arity>'", 1)
-    arity = int(fields[1])
+    try:
+        arity = int(fields[1])
+    except ValueError:  # more digits than int() converts by default
+        raise ParseError("arity has too many digits", 1) from None
     rows: dict[int, bool | None] = {}  # keyed by table index, input 1 least significant
     for lineno, line in enumerate(lines[1:], 2):
         fields = line.split()

@@ -198,6 +198,10 @@ def test_a_huge_table_header_is_a_parse_error(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "table needs 2^100000 rows, found 0" in err
+    for header, message in ((f"k {'1' * 5000}", "arity has too many digits"), ("k ²", "first line must be")):
+        code, out, err = run_cli(capsys, "compile", "tt", write(tmp_path, "bad.tt", header + "\n"))
+        assert (code, out) == (2, "")
+        assert f"parse error: 1: {message}" in err
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):
