@@ -106,20 +106,20 @@ def equivalence_check(
     sets = reply_sets(program, arity, aux_count)
     # Table index j has input i at bit i-1; the walk wants in:i at bit i.
     if sets is None:
-        wrong = ((j, walk(program, j << 1, arity, aux_count)) for j in range(len(fn.entries)))
+        replies = ((j, walk(program, j << 1, arity, aux_count)) for j in range(len(fn.entries)))
     else:
         digits = "".join(map(_ENTRY_CHAR.__getitem__, reversed(fn.entries)))
         want_t = int(digits.translate(_WANT_T), 2)
         want_f = int(digits.translate(_WANT_F), 2)
         want_d = ((1 << len(fn.entries)) - 1) ^ want_t ^ want_f
-        # The three sets are disjoint, so the indices are distinct.
-        wrong = sorted(
+        # Only the inputs whose reply the table does not ask for; the three sets are disjoint.
+        replies = sorted(
             (j, got)
             for got, got_mask, want in zip((Reply.T, Reply.F, Reply.D), sets, (want_t, want_f, want_d))
             for j in _set_bits(got_mask & ~want)
         )
     mismatches: list[Mismatch] = []
-    for j, got in wrong:
+    for j, got in replies:
         expected = _EXPECTED[fn.entries[j]]
         if got is not expected:
             bits = tuple(bool(j >> i & 1) for i in range(arity))
