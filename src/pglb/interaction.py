@@ -40,6 +40,11 @@ from .threads import DEADLOCK, Deadlock, PostNode, RegularThread, SMinus, SPlus
 # Bound on the configurations one walk visits (and on the states of a use_apply product).
 DEFAULT_STATE_CAP = 500_000
 
+# Bound on exit_state * 2^input_count, about the bit operations of one
+# reply_sets pass; past it a walk per input is as fast. It admits every
+# program `compile tt` emits up to arity 17 and none at arity 18.
+REPLY_SETS_BIT_BUDGET = 1 << 35
+
 
 def use_apply(
     thread: RegularThread, family: ServiceFamily, max_states: int = DEFAULT_STATE_CAP
@@ -299,8 +304,9 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
     i-1 of j, the run ``walk(program, j << 1, input_count, aux_count)``
     takes. The three masks split all 2^input_count inputs. Applies when the
     program is ``acyclic``, has at most ``DEFAULT_STATE_CAP`` non-jump
-    states (so the walk keeps no configuration set and cannot trip its cap)
-    and writes no register; returns None otherwise.
+    states (so the walk keeps no configuration set and cannot trip its cap),
+    writes no register, and its states times 2^input_count stay within
+    ``REPLY_SETS_BIT_BUDGET``; returns None otherwise.
 
     One pass visits the states in index order from the root, which is a
     topological order, since every edge of an acyclic program leads to a
@@ -317,6 +323,7 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
     if (
         not program.acyclic
         or program.exit_state > DEFAULT_STATE_CAP
+        or program.exit_state << input_count > REPLY_SETS_BIT_BUDGET
         or M_SET_T in method
         or M_SET_F in method
     ):
@@ -328,7 +335,9 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
     reach[program.root] = (1 << (1 << input_count)) - 1
     finals = [0, 0, 0]  # the t, f and d sets, by op kind from OP_TRUE on
     for state in range(program.root, len(kind)):
-        here = reach[state]
+        # Every edge leads to a later state, so this state's set is complete
+        # now and nothing reads it again: drop it to keep few masks alive.
+        here, reach[state] = reach[state], 0
         if not here:
             continue
         op = kind[state]

@@ -15,6 +15,8 @@ chain lands leaves the extracted thread bisimilar.
 """
 
 import dataclasses
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,7 @@ from pglb import (
     TERM_F,
     TERM_T,
     bisimilar,
+    compile_truth_table,
     compute,
     equivalence_check,
     extract,
@@ -47,7 +50,7 @@ from pglb import (
 )
 from pglb.extraction import compile_program
 from pglb.interaction import DEFAULT_STATE_CAP, reply_sets, walk
-from thelpers import reference_compile_program, reference_equivalence_check
+from thelpers import reference_compile_program
 
 FOCI = (
     [Focus.input(i) for i in range(1, 5)]
@@ -117,7 +120,7 @@ def tables(max_arity: int):
 
 
 @PROPERTY_SETTINGS
-@given(programs, tables(3), aux_counts)
+@given(programs, tables(5), aux_counts)
 def test_equivalence_check_matches_a_compute_sweep(program, fn, aux_count):
     expected = []
     for bits in fn.inputs():
@@ -128,15 +131,6 @@ def test_equivalence_check_matches_a_compute_sweep(program, fn, aux_count):
             expected.append((bits, got, want))
     report = equivalence_check(program, fn, aux_count)
     assert [(m.inputs, m.got, m.expected) for m in report.mismatches] == expected
-
-
-@PROPERTY_SETTINGS
-@given(programs, tables(5), aux_counts)
-def test_equivalence_check_matches_the_per_input_sweep(program, fn, aux_count):
-    report = equivalence_check(program, fn, aux_count)
-    reference = reference_equivalence_check(program, fn, aux_count)
-    assert report == reference
-    assert [str(m) for m in report.mismatches] == [str(m) for m in reference.mismatches]
 
 
 def test_a_negative_aux_count_is_rejected_on_both_paths():
@@ -229,6 +223,38 @@ def test_reply_sets_leave_programs_over_the_state_cap_to_the_walk(monkeypatch):
     assert reply_sets(compiled, 1) == (0b10, 0b01, 0)
     monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", compiled.exit_state - 1)
     assert reply_sets(compiled, 1) is None
+
+
+def test_reply_sets_leave_programs_over_the_bit_budget_to_the_walk(monkeypatch):
+    program = parse("+in:1.get; !t; !f")
+    compiled = compile_program(program)
+    monkeypatch.setattr("pglb.interaction.REPLY_SETS_BIT_BUDGET", compiled.exit_state << 3)
+    assert reply_sets(compiled, 3) == (0b10101010, 0b01010101, 0)
+    assert reply_sets(compiled, 4) is None
+    entries = [bool(j & 1) for j in range(16)]
+    entries[6] = None
+    report = equivalence_check(program, PartialBooleanFunction(4, tuple(entries)))
+    assert [(m.inputs, m.got, m.expected) for m in report.mismatches] == [
+        ((False, True, True, False), Reply.F, Reply.D)
+    ]
+
+
+def test_reply_sets_keep_few_masks_alive_on_an_arity_16_table():
+    # A state's set is dropped once visited. Were every set kept until the
+    # end, the sets of this tree's 2^17 states would hold about 2^32 bits.
+    rng = random.Random(16)
+    fn = PartialBooleanFunction(16, tuple(rng.choice((True, False, None)) for _ in range(1 << 16)))
+    compiled = compile_program(compile_truth_table(fn))
+    tracemalloc.start()
+    try:
+        sets = reply_sets(compiled, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    char = {True: "t", False: "f", None: "d"}
+    digits = "".join(char[e] for e in reversed(fn.entries))
+    assert sets == tuple(int("".join("1" if c == r else "0" for c in digits), 2) for r in "tfd")
+    assert peak < 16 * 2**20
 
 
 def _landing(body, p: int) -> int | None:

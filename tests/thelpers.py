@@ -313,24 +313,3 @@ def reference_bisimilar(left: RegularThread, right: RegularThread) -> bool:
         if new_block == block:
             return block[left.root] == block[right.root + offset]
         block = new_block
-
-
-def reference_equivalence_check(sequence, fn, aux_count: int = 0):
-    """The equivalence sweep that walks the compiled program once per input, in table order."""
-    from pglb.errors import InfeasibleArityError
-    from pglb.extraction import compile_program
-    from pglb.interaction import walk
-    from pglb.oracle import EquivalenceReport, Mismatch
-
-    if fn.arity > 20:
-        raise InfeasibleArityError(f"sweep over 2^{fn.arity} inputs refused")
-    program = compile_program(sequence)
-    expected_reply = {True: Reply.T, False: Reply.F, None: Reply.D}
-    mismatches = []
-    for j, entry in enumerate(fn.entries):
-        got = walk(program, j << 1, fn.arity, aux_count)
-        expected = expected_reply[entry]
-        if got is not expected:
-            bits = tuple(bool(j >> i & 1) for i in range(fn.arity))
-            mismatches.append(Mismatch(bits, got, expected))
-    return EquivalenceReport(fn.arity, aux_count, tuple(mismatches))
