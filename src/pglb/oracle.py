@@ -3,9 +3,10 @@
 The references take none of the program's code paths: a circuit is
 evaluated gate by gate and a table is looked up. The program side of an
 equivalence sweep is compiled once. A program without backward jumps or
-register writes gets the replies of all inputs from one pass over its
-states (:func:`pglb.interaction.reply_sets`); any other is walked once per
-input (:func:`pglb.interaction.walk`). A program counts as correct only
+register writes, small enough for the pass's bit budget, gets the replies
+of all inputs from one pass over its states
+(:func:`pglb.interaction.reply_sets`); any other is walked once per input
+(:func:`pglb.interaction.walk`). A program counts as correct only
 when its runs agree with the reference on every input.
 """
 
