@@ -213,6 +213,11 @@ def parse_truth_table(text: str) -> PartialBooleanFunction:
     Patterns are read left to right as inputs 1..k; all 2^k rows must appear
     exactly once.
     """
+    return _parse_table_lines(text)
+
+
+def _parse_table_lines(text: str) -> PartialBooleanFunction:
+    """:func:`parse_truth_table` one line at a time; the only reader that words an error."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("k"):
         raise ParseError("first line must be 'k <arity>'", 1)

@@ -1,8 +1,10 @@
 """Properties of the text layers: program text, truth-table files and the table compiler.
 
 ``parse`` and ``render`` round-trip, parse errors point at the first
-occurrence of a bad token, table files round-trip, and the table compiler
-equals its recursive definition (kept in ``thelpers`` as the reference).
+occurrence of a bad token, table files round-trip, the table reader equals
+its line-at-a-time loop on well-formed and malformed files alike, and the
+table compiler equals its recursive definition (kept in ``thelpers`` as the
+reference).
 """
 
 import time
@@ -30,6 +32,7 @@ from pglb import (
     render,
 )
 from pglb.cli import main
+from pglb.synthesis import _parse_table_lines
 from thelpers import reference_compile_truth_table
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
@@ -65,34 +68,40 @@ def test_parse_inverts_render(sequence):
     assert parse(render(sequence)) == sequence
 
 
-GOOD_TOKENS = ("a", "+in:1.get", "#2", "!t", r"\#1")
-BAD_TOKENS = ("?", "#x", "in:0.get", "tau")
+GOOD_TOKENS = ("a", "+in:1.get", "#2", "!t", r"\#1", "- aux:0.set:f")
+BAD_TOKENS = ("?", "#x", "in:0.get", "tau", "+", "a.b.c")
+# Comments end a line; the bad tokens inside them must never be reported.
+COMMENTS = ("", "// ?", " //tau; #x", "//")
 
 
 @PROPERTY_SETTINGS
 @given(
     st.lists(
-        st.lists(st.sampled_from(GOOD_TOKENS + BAD_TOKENS), min_size=1, max_size=6),
+        st.tuples(
+            st.lists(st.sampled_from(GOOD_TOKENS + BAD_TOKENS), min_size=0, max_size=6),
+            st.sampled_from(COMMENTS),
+        ),
         min_size=1,
         max_size=6,
     ),
     st.sampled_from(("; ", " ;", ";", " ;  ")),
 )
 def test_a_bad_token_is_reported_at_its_first_position(lines, separator):
-    text = "\n".join(separator.join(tokens) for tokens in lines)
+    text = "\n".join(separator.join(tokens) + comment for tokens, comment in lines)
     first_bad = None
-    for lineno, tokens in enumerate(lines, 1):
+    for lineno, (tokens, _) in enumerate(lines, 1):
         column = 1
         for token in tokens:
             if token in BAD_TOKENS and first_bad is None:
                 first_bad = (lineno, column)
             column += len(token) + len(separator)
-    if first_bad is None:
-        assert len(parse(text)) == sum(map(len, lines))
+    count = sum(len(tokens) for tokens, _ in lines)
+    if first_bad is None and count:
+        assert len(parse(text)) == count
         return
     with pytest.raises(ParseError) as caught:
         parse(text)
-    assert (caught.value.line, caught.value.column) == first_bad
+    assert (caught.value.line, caught.value.column) == (first_bad or (None, None))
 
 
 truth_tables = st.integers(0, 6).flatmap(
@@ -106,6 +115,76 @@ truth_tables = st.integers(0, 6).flatmap(
 @given(truth_tables)
 def test_truth_table_files_round_trip(fn):
     assert parse_truth_table(format_truth_table(fn)) == fn
+
+
+def _pattern(index: int, arity: int) -> str:
+    return "".join("t" if index >> bit & 1 else "f" for bit in range(arity))
+
+
+_VALUE_TEXT = {True: "t", False: "f", None: "u"}
+
+
+@st.composite
+def table_files(draw):
+    """A table and a file for it: rows in index, lexicographic or shuffled order, in any layout."""
+    fn = draw(truth_tables)
+    indices = list(range(2**fn.arity))
+    order = draw(st.sampled_from(("index", "lexicographic", "shuffled")))
+    if order == "lexicographic":
+        indices.sort(key=lambda j: _pattern(j, fn.arity))
+    elif order == "shuffled":
+        indices = draw(st.permutations(indices))
+    pad = draw(st.sampled_from(("", " ", "\t ")))
+    rows = [f"{pad}{_pattern(j, fn.arity)} {pad}{_VALUE_TEXT[fn.entries[j]]}{pad}" for j in indices]
+    lines = [f"k {fn.arity}"] + rows
+    if draw(st.booleans()):  # a blank line before each line
+        blanks = draw(st.lists(st.sampled_from(("", "  ")), min_size=len(lines), max_size=len(lines)))
+        lines = [part for pair in zip(blanks, lines) for part in pair]
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    ending = draw(st.sampled_from((newline, "")))
+    return fn, newline.join(lines) + ending
+
+
+def _outcome(reader, text):
+    """What a table reader makes of a file: the table, or the text and line of its ParseError."""
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@PROPERTY_SETTINGS
+@given(table_files())
+def test_the_table_reader_equals_the_line_loop(case):
+    fn, text = case
+    assert parse_truth_table(text) == _parse_table_lines(text) == fn
+
+
+@PROPERTY_SETTINGS
+@given(
+    truth_tables,
+    st.booleans(),
+    st.sampled_from(("replace", "insert", "delete", "drop row", "repeat row")),
+    st.integers(0, 10**6),
+    st.sampled_from(tuple("tfuxk01 \n\r;")),
+)
+def test_malformed_table_files_fail_alike(fn, lexicographic, mutation, where, char):
+    indices = sorted(range(2**fn.arity), key=lambda j: _pattern(j, fn.arity)[:: 1 if lexicographic else -1])
+    rows = [f"{_pattern(j, fn.arity)} {_VALUE_TEXT[fn.entries[j]]}\n" for j in indices]
+    at = where % len(rows)
+    if mutation == "drop row":
+        del rows[at]
+    elif mutation == "repeat row":
+        rows[at] = rows[(at + 1) % len(rows)]
+    text = f"k {fn.arity}\n" + "".join(rows)
+    at = where % len(text)
+    if mutation == "replace":
+        text = text[:at] + char + text[at + 1 :]
+    elif mutation == "insert":
+        text = text[:at] + char + text[at:]
+    elif mutation == "delete":
+        text = text[:at] + text[at + 1 :]
+    assert _outcome(parse_truth_table, text) == _outcome(_parse_table_lines, text)
 
 
 @PROPERTY_SETTINGS
