@@ -4,6 +4,7 @@ Each test prints one ``[criterion N] ... PASS`` line (visible with
 ``pytest -s``); pytest's own pass/fail per test mirrors the same verdicts.
 """
 
+import gc
 import itertools
 import random
 import time
@@ -63,6 +64,9 @@ ALL_VALUES = (Reply.T, Reply.F, Reply.D)
 
 @contextmanager
 def criterion(number: int, name: str, budget_seconds: float):
+    # A full collection owed by earlier allocations (other tests, or this test's own set-up)
+    # scans the whole test process's heap and can take longer than a small budget: pay it first.
+    gc.collect()
     started = time.perf_counter()
     try:
         yield
