@@ -35,6 +35,7 @@ from .extraction import (
 )
 from .isa import InstructionSequence, TAU, render_instruction
 from .services import Reply, ServiceFamily
+from .synthesis import input_masks
 from .threads import DEADLOCK, Deadlock, PostNode, RegularThread, SMinus, SPlus
 
 # Bound on the configurations one walk visits (and on the states of a use_apply product).
@@ -281,22 +282,6 @@ def walk(
         state = then_state[state] if bit else else_state[state]
 
 
-def _input_masks(input_count: int) -> list[int]:
-    """``masks[i]``: the table indices with bit i-1 set, as a bit mask; ``masks[0]`` is 0.
-
-    Built by doubling: adding an input copies every mask into the upper
-    half of the table, where the new input's mask is all ones.
-    """
-    masks = [0]
-    width, full = 1, 1
-    for _ in range(input_count):
-        masks = [m | m << width for m in masks]
-        masks.append(full << width)
-        full |= full << width
-        width <<= 1
-    return masks
-
-
 def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -> tuple[int, int, int] | None:
     """The inputs whose runs reply t, f and d, as bit masks over table indices; or None.
 
@@ -330,7 +315,7 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
         return None
     kind, bank, index = program.kind, program.bank, program.index
     then_state, else_state = program.then_state, program.else_state
-    masks = _input_masks(input_count)
+    masks = input_masks(input_count)
     reach = [0] * len(kind)
     reach[program.root] = (1 << (1 << input_count)) - 1
     finals = [0, 0, 0]  # the t, f and d sets, by op kind from OP_TRUE on

@@ -28,9 +28,12 @@ SET_T = "set:t"
 SET_F = "set:f"
 REGISTER_METHODS = frozenset({GET, SET_T, SET_F})
 
-_IDENT_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_METHOD_RE = re.compile(r"[A-Za-z0-9_]+(?::[A-Za-z0-9_]+)*\Z")
-_NAT_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
+_IDENT = r"[A-Za-z0-9_]+"
+_METHOD = rf"{_IDENT}(?::{_IDENT})*"
+_NAT = r"(?:0|[1-9][0-9]*)"
+_IDENT_RE = re.compile(_IDENT + r"\Z")
+_METHOD_RE = re.compile(_METHOD + r"\Z")
+_NAT_RE = re.compile(_NAT + r"\Z")
 
 
 @dataclass(frozen=True)
@@ -274,28 +277,63 @@ def _parse_instruction(token: str, line: int, column: int) -> Instruction:
     return Basic(_parse_action(token, line, column))
 
 
+# The well-formed tokens of each instruction class but terminations, one pattern per class.
+# Only a token that matches none of them goes through _parse_instruction, which words the error.
+_JUMP_TOKEN = re.compile(rf"(\\?)#({_NAT})")
+_ACTION_TOKEN = re.compile(
+    rf"([+-]?)\s*(?:(?:in:([1-9][0-9]*)|aux:({_NAT})|({_IDENT}))\.({_METHOD})|({_IDENT}))"
+)
+_TERMINATIONS = {"!t": TERM_T, "!f": TERM_F}
+_BY_SIGN = {"": Basic, "+": PosTest, "-": NegTest}
+
+
+def _match_instruction(token: str) -> Instruction | None:
+    """The instruction a well-formed token stands for, by its class's pattern; None for any other token."""
+    found = _TERMINATIONS.get(token)
+    if found is not None:
+        return found
+    jump = _JUMP_TOKEN.fullmatch(token)
+    if jump is not None:
+        return (BwdJump if jump[1] else FwdJump)(int(jump[2]))
+    match = _ACTION_TOKEN.fullmatch(token)
+    if match is None:
+        return None
+    sign, in_index, aux_index, name, method, symbol = match.groups()
+    if symbol is not None:
+        return None if symbol == "tau" else _BY_SIGN[sign](Action(symbol))
+    if in_index is not None:
+        focus = Focus.input(int(in_index))
+    elif aux_index is not None:
+        focus = Focus.aux(int(aux_index))
+    else:
+        focus = Focus.named(name)
+    return _BY_SIGN[sign](Action(method, focus))
+
+
 def parse(text: str) -> InstructionSequence:
     """Parse program text; instructions separated by ``;`` or newlines.
 
     ``//`` starts a comment running to the end of the line. Raises
     :class:`ParseError` with a line:column position on malformed input.
     Each distinct token is parsed once per call and its (frozen) instruction
-    shared; a malformed token fails at its first occurrence.
+    shared; a malformed token fails at its first occurrence. A line is split
+    and stripped whole, and its tokens are looked up in bulk; only a
+    malformed token's column is computed.
     """
     instructions: list[Instruction] = []
     parsed: dict[str, Instruction] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.split("//", 1)[0]
-        offset = 0
-        for segment in line.split(";"):
-            token = segment.strip()
-            if token:
-                instruction = parsed.get(token)
+    for lineno, line in enumerate(text.splitlines(), 1):
+        segments = line.split("//", 1)[0].split(";")
+        tokens = list(map(str.strip, segments))
+        for token in dict.fromkeys(tokens):  # the line's distinct tokens, in first-occurrence order
+            if token and token not in parsed:
+                instruction = _match_instruction(token)
                 if instruction is None:
-                    column = offset + segment.index(token[0]) + 1
-                    instruction = parsed[token] = _parse_instruction(token, lineno, column)
-                instructions.append(instruction)
-            offset += len(segment) + 1
+                    at = tokens.index(token)
+                    column = sum(map(len, segments[:at])) + at + segments[at].index(token[0]) + 1
+                    instruction = _parse_instruction(token, lineno, column)
+                parsed[token] = instruction
+        instructions.extend(map(parsed.__getitem__, filter(None, tokens)))
     if not instructions:
         raise ParseError("empty instruction sequence")
     return InstructionSequence(tuple(instructions))

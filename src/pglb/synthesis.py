@@ -10,6 +10,7 @@ evaluates to false.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -205,15 +206,89 @@ def compile_3sat_loopfree(k: int) -> InstructionSequence:
 
 
 _PATTERN_BITS = str.maketrans("tf", "10")
+_ENTRY = {"t": True, "f": False, "u": None}
+# The header of a file read by columns. Two digits suffice: the 2^k rows of a larger arity fill no memory.
+_COLUMNS_HEADER = re.compile(r"k ([0-9]{1,2})\n")
+
+
+def input_masks(arity: int) -> list[int]:
+    """``masks[i]``: the table indices with bit i-1 set, as a bit mask; ``masks[0]`` is 0.
+
+    Built by doubling: adding an input copies every mask into the upper
+    half of the table, where the new input's mask is all ones.
+    """
+    masks = [0]
+    width, full = 1, 1
+    for _ in range(arity):
+        masks = [m | m << width for m in masks]
+        masks.append(full << width)
+        full |= full << width
+        width <<= 1
+    return masks
+
+
+def _bit_reversal(bits: int) -> list[int]:
+    """``order[j]``: j with its ``bits`` low bits in reverse order."""
+    order = [0]
+    for _ in range(bits):
+        order = [2 * j for j in order] + [2 * j + 1 for j in order]
+    return order
+
+
+def _bit_reversed(text: str, bits: int) -> str:
+    """The 2^bits characters of ``text``, with index j holding the one at j's bit reversal.
+
+    Split an index into h = bits // 2 high bits and l = bits - h low bits.
+    Reversing all bits reverses each part and swaps the two, so: permute the
+    2^h rows of 2^l characters by the h-bit reversal, then read the columns
+    out in the order of the l-bit reversal. That takes about 3·2^(bits/2)
+    slices, not a step per character.
+    """
+    high = bits // 2
+    width = 1 << (bits - high)
+    rows = "".join(text[r * width : (r + 1) * width] for r in _bit_reversal(high))
+    return "".join(rows[c::width] for c in _bit_reversal(bits - high))
 
 
 def parse_truth_table(text: str) -> PartialBooleanFunction:
     """Table file: line ``k <arity>`` then one ``<pattern> <t|f|u>`` row per input.
 
     Patterns are read left to right as inputs 1..k; all 2^k rows must appear
-    exactly once.
+    exactly once. A file laid out as pglb and its benchmark write them is
+    read a column at a time; any other file, and every malformed one, a line
+    at a time.
     """
-    return _parse_table_lines(text)
+    fn = _read_table_columns(text)
+    return _parse_table_lines(text) if fn is None else fn
+
+
+def _read_table_columns(text: str) -> PartialBooleanFunction | None:
+    """The table of a file of rows ``[tf]{k} [tfu]\\n`` in one of two orders; None for any other file.
+
+    After the header ``k <arity>\\n`` the rows come in table-index order
+    (input 1 changes fastest) or in lexicographic order (input k changes
+    fastest, as :func:`format_truth_table` writes them). One pattern checks
+    every row. Each pattern column is then read as one int whose bit r is
+    row r's input; the order is one of the two when these ints equal the
+    table's :func:`input_masks`, ascending or descending. The entries are
+    the value column, bit-reversed for lexicographic order.
+    """
+    header = _COLUMNS_HEADER.match(text)
+    if header is None:
+        return None
+    arity = int(header[1])
+    width = arity + 3  # the pattern, a space, the value and a newline
+    body = text[header.end() :]
+    if len(body) != width << arity or not re.fullmatch(rf"(?:[tf]{{{arity}}} [tfu]\n)*", body):
+        return None
+    columns = [int(body[i::width][::-1].translate(_PATTERN_BITS), 2) for i in range(arity)]
+    masks = input_masks(arity)[1:]
+    values = body[arity + 1 :: width]
+    if columns != masks:
+        if columns != masks[::-1]:
+            return None
+        values = _bit_reversed(values, arity)
+    return PartialBooleanFunction(arity, tuple(map(_ENTRY.__getitem__, values)))
 
 
 def _parse_table_lines(text: str) -> PartialBooleanFunction:

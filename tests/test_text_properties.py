@@ -32,6 +32,7 @@ from pglb import (
     render,
 )
 from pglb.cli import main
+from pglb.isa import _match_instruction, _parse_instruction
 from pglb.synthesis import _parse_table_lines
 from thelpers import reference_compile_truth_table
 
@@ -102,6 +103,22 @@ def test_a_bad_token_is_reported_at_its_first_position(lines, separator):
     with pytest.raises(ParseError) as caught:
         parse(text)
     assert (caught.value.line, caught.value.column) == (first_bad or (None, None))
+
+
+# Pieces that join into well-formed and malformed tokens of every instruction class.
+TOKEN_PIECES = ("+", "-", " ", "#", "\\", "!", "t", "f", "in", "aux", ":", "0", "1", "12", "01", ".", "get", "set", "tau", "a_b")
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.sampled_from(TOKEN_PIECES), min_size=1, max_size=6)
+    .map(lambda pieces: "".join(pieces).strip())
+    .filter(bool)
+)
+def test_a_token_matched_by_its_pattern_parses_alike(token):
+    matched = _match_instruction(token)
+    if matched is not None:
+        assert matched == _parse_instruction(token, 1, 1)
 
 
 truth_tables = st.integers(0, 6).flatmap(
