@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import InfeasibleArityError, ParseError, StateSpaceCapExceeded
 from .extraction import extract
-from .interaction import compute, trace
+from .interaction import DEFAULT_STATE_CAP, compute, trace
 from .isa import Basic, InstructionSequence, NegTest, PosTest, parse, render
 from .oracle import equivalence_check
 from .sat3 import clause_count, encode_cnf, encoding_to_text, gen_3sat, gen_3sat_length, parse_dimacs
@@ -94,13 +94,29 @@ def _cmd_compile_circuit(args) -> int:
     return EXIT_OK
 
 
+def _check_3sat_size(k: int) -> None:
+    """Refuse, before anything is allocated, a k whose decider has more instructions than the state cap.
+
+    ``gen 3sat`` emits that decider and ``encode cnf`` its 8k^3-bit input, so
+    both stop at k=19 (493,944 instructions); ``gen 3sat -k 64`` would take
+    several GB before printing anything.
+    """
+    if gen_3sat_length(k) > DEFAULT_STATE_CAP:
+        raise InfeasibleArityError(
+            f"k={k}: the decider would have more than {DEFAULT_STATE_CAP} instructions (the state cap)"
+        )
+
+
 def _cmd_gen_3sat(args) -> int:
+    _check_3sat_size(args.k)
     print(render(gen_3sat(args.k)))
     return EXIT_OK
 
 
 def _cmd_encode_cnf(args) -> int:
-    print(encoding_to_text(encode_cnf(parse_dimacs(_read(args.file)))))
+    formula = parse_dimacs(_read(args.file))
+    _check_3sat_size(formula.k)
+    print(encoding_to_text(encode_cnf(formula)))
     return EXIT_OK
 
 

@@ -104,8 +104,11 @@ def _land_jumps(landing: list[int | None], heads: list[_RowHead], jumps: list[in
             landing[p] = landing[p + offset] if p + offset <= end else exit_state
     if acyclic:
         return True
-    # Every jump still unresolved targets a position in 0..size+2.
+    # Every jump still unresolved targets a position in 0..size+2. The forward jumps landed
+    # above need no second look.
     for p in jumps:
+        if landing[p] is not None:
+            continue
         chain: dict[int, None] = {}  # insertion-ordered set of the jumps followed
         q = p
         while (result := landing[q]) is None:

@@ -45,10 +45,12 @@ from pglb import (
     eval_circuit,
     extract,
     foci_used,
+    format_truth_table,
     gen_3sat,
     is_loop_free,
     length,
     parse,
+    parse_truth_table,
     project,
     register_family,
     render,
@@ -347,3 +349,16 @@ def test_criterion_9_verify_sweeps_arity_14():
     with criterion(9, "verify a compiled arity-14 table (16,384 inputs)", 0.3):
         report = equivalence_check(program, fn)
     assert report.ok
+
+
+def test_criterion_10_table_files_are_read_in_bulk():
+    rng = random.Random(10)
+    fn = PartialBooleanFunction(14, tuple(rng.choice((True, False, None)) for _ in range(2**14)))
+    values = ["u" if entry is None else "tf"[not entry] for entry in fn.entries]
+    index_order = "k 14\n" + "".join(
+        "".join("ft"[j >> bit & 1] for bit in range(14)) + f" {values[j]}\n" for j in range(2**14)
+    )
+    for order, text in (("table-index", index_order), ("lexicographic", format_truth_table(fn))):
+        with criterion(10, f"read an arity-14 table file in {order} order", 0.015):
+            parsed = parse_truth_table(text)
+        assert parsed == fn

@@ -1,8 +1,17 @@
 """Command-line interface: outputs, pipelines and exit codes."""
 
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import pytest
+
+import pglb
 from pglb.cli import main
 
 LOOP_PROGRAM = r"a; +b; #2; #3; c; \#4; +d; !t; !f"
@@ -202,6 +211,43 @@ def test_a_huge_table_header_is_a_parse_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, "compile", "tt", write(tmp_path, "bad.tt", header + "\n"))
         assert (code, out) == (2, "")
         assert f"parse error: 1: {message}" in err
+
+
+# Oversized numeric arguments, one row per (argv, file text, exit code). "{file}" is a file
+# holding the text and "{program}" a small program. Each must end in exit 2 or 3, never 4.
+OVERSIZED = [
+    pytest.param(["gen", "3sat", "-k", "20"], None, 3, id="gen-k20"),  # 576,101 instructions
+    pytest.param(["gen", "3sat", "-k", "64"], None, 3, id="gen-k64"),
+    pytest.param(["gen", "3sat", "-k", "1" + "0" * 40], None, 3, id="gen-k1e40"),
+    pytest.param(["gen", "3sat", "-k", "9" * 5000], None, 2, id="gen-k-5000-digits"),
+    pytest.param(["encode", "cnf", "{file}"], "p cnf 20 1\n1 2 3 0\n", 3, id="encode-k20"),
+    pytest.param(["encode", "cnf", "{file}"], "p cnf 100000 1\n1 2 3 0\n", 3, id="encode-k100000"),
+    pytest.param(["encode", "cnf", "{file}"], f"p cnf {'9' * 30} 1\n1 2 3 0\n", 3, id="encode-k-30-digits"),
+    pytest.param(["encode", "cnf", "{file}"], f"p cnf {'9' * 5000} 1\n", 2, id="encode-k-5000-digits"),
+    pytest.param(["lengths", "--max-k", "13"], None, 2, id="lengths-13"),
+    pytest.param(["lengths", "--max-k", "1" + "0" * 30], None, 2, id="lengths-1e30"),
+    pytest.param(["compile", "tt", "{file}"], "k 99\n", 2, id="compile-tt-k99"),
+    pytest.param(["verify", "{program}", "--tt", "{file}"], f"k {'9' * 40}\n", 2, id="verify-k-40-digits"),
+]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, text, expected", OVERSIZED)
+def test_oversized_numeric_arguments_are_refused_quickly(tmp_path, argv, text, expected):
+    # A separate process with 1 GiB of address space and a timeout: a missing guard fails the
+    # test instead of taking the machine's memory.
+    files = {"{file}": write(tmp_path, "input", text or ""), "{program}": write(tmp_path, "p.pga", "!t\n")}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(pglb.__file__).parents[1])] + sys.path))
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pglb.cli", *(files.get(arg, arg) for arg in argv)],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=_limit_memory,
+    )
+    assert (done.returncode, done.stdout) == (expected, ""), done.stderr
+    assert time.perf_counter() - started < 5.0
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):
