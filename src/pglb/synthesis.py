@@ -207,7 +207,7 @@ def compile_3sat_loopfree(k: int) -> InstructionSequence:
 
 _PATTERN_BITS = str.maketrans("tf", "10")
 _ENTRY = {"t": True, "f": False, "u": None}
-# The header of a file read by columns. Two digits suffice: the 2^k rows of a larger arity fill no memory.
+# The header of a file read by columns. Two digits suffice: the 2^100 rows of arity 100 fit in no memory.
 _COLUMNS_HEADER = re.compile(r"k ([0-9]{1,2})\n")
 
 

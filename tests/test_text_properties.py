@@ -106,7 +106,9 @@ def test_a_bad_token_is_reported_at_its_first_position(lines, separator):
 
 
 # Pieces that join into well-formed and malformed tokens of every instruction class.
-TOKEN_PIECES = ("+", "-", " ", "#", "\\", "!", "t", "f", "in", "aux", ":", "0", "1", "12", "01", ".", "get", "set", "tau", "a_b")
+TOKEN_PIECES = (
+    "+", "-", " ", "#", "\\", "!", "t", "f", "in", "aux", ":", "0", "1", "12", "01", ".", "get", "set", "tau", "a_b",
+)
 
 
 @PROPERTY_SETTINGS
