@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import InfeasibleArityError, ParseError, StateSpaceCapExceeded
 from .extraction import extract
 from .interaction import DEFAULT_STATE_CAP, compute, trace
-from .isa import Basic, InstructionSequence, NegTest, PosTest, parse, render
+from .isa import InstructionSequence, parse, render
 from .oracle import equivalence_check
 from .sat3 import clause_count, encode_cnf, encoding_to_text, gen_3sat, gen_3sat_length, parse_dimacs
 from .synthesis import (
@@ -26,7 +26,7 @@ from .synthesis import (
     parse_truth_table,
     truth_table_length,
 )
-from .threads import project, render_term, thread_equations, thread_to_dot
+from .threads import PostNode, RegularThread, project, render_term, thread_equations, thread_to_dot
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -60,18 +60,42 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
+def _check_projection_size(thread: RegularThread, depth: int) -> None:
+    """Refuse, before it is built, a projection with more than ``DEFAULT_STATE_CAP`` nodes.
+
+    Counts level by level the nodes of the tree ``render_term`` prints, the
+    two branches of a test apart when they lead to different states: a bound
+    on the printed term and on the projection's memo. Stops past the cap.
+    """
+    level, nodes = {thread.root: 1}, 1  # level: state -> paths reaching it at this depth
+    for _ in range(depth):
+        following: dict[int, int] = {}
+        for state, paths in level.items():
+            label = thread.states[state]
+            if isinstance(label, PostNode):
+                for succ in {label.then_state, label.else_state}:
+                    following[succ] = following.get(succ, 0) + paths
+        level = following
+        nodes += sum(level.values())
+        if nodes > DEFAULT_STATE_CAP:
+            raise InfeasibleArityError(f"depth {depth}: over {DEFAULT_STATE_CAP} nodes to project (the state cap)")
+        if not level:
+            return
+
+
 def _cmd_project(args) -> int:
     thread = extract(_load_program(args.file))
+    _check_projection_size(thread, args.depth)
     print(render_term(project(thread, args.depth)))
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     program = _load_program(args.file)
-    # parse shares one object per distinct token: check each object once.
-    for instruction in {id(u): u for u in program.instructions}.values():
-        if isinstance(instruction, (Basic, PosTest, NegTest)) and instruction.action.focus is None:
-            print(f"non-service action '{instruction.action}'", file=sys.stderr)
+    # One compiled row per distinct instruction: check each action once, in first-occurrence order.
+    for action in program.compiled.actions():
+        if action.focus is None:
+            print(f"non-service action '{action}'", file=sys.stderr)
             return EXIT_USAGE
     inputs = _parse_inputs(args.inputs)
     if not args.trace:

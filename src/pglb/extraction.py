@@ -7,15 +7,16 @@ negative test swaps the roles); jumps move the position without observable
 behaviour; ``!t``/``!f`` terminate. A cycle consisting solely of jumps is an
 infinite jump chain and deadlocks.
 
-A program is compiled once into flat per-state arrays (:class:`CompiledProgram`).
-Both the thread graph (:func:`extract_at`) and the execution walk in
-:mod:`pglb.interaction` are built from that one form.
+A program is compiled once, to one shared row per distinct instruction
+indexed by position and one map from each position to where behaviour lands
+there (:class:`CompiledProgram`). Both the thread graph (:func:`extract_at`)
+and the execution walk in :mod:`pglb.interaction` are built from that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from itertools import compress
 
 from .isa import (
     Action,
@@ -33,7 +34,7 @@ from .isa import (
 )
 from .threads import DEADLOCK, PostNode, RegularThread, S_MINUS, S_PLUS, StateLabel
 
-# Op kind of a compiled state. The walk treats kinds >= OP_TRUE as final.
+# Op kind of a compiled row. The walk treats kinds >= OP_TRUE as final.
 OP_ACTION, OP_TAU, OP_TRUE, OP_FALSE, OP_DEADLOCK = range(5)
 # Register bank an action addresses; BANK_NONE is never served by a register.
 BANK_IN, BANK_AUX, BANK_NONE = range(3)
@@ -44,7 +45,7 @@ _BANKS = {"in": BANK_IN, "aux": BANK_AUX}
 _METHODS = {GET: M_GET, SET_T: M_SET_T, SET_F: M_SET_F}
 
 
-# Kind of a jump's row head; no compiled state carries it.
+# Kind of a jump's row head; no run lands on it.
 _JUMP_FWD, _JUMP_BWD = -1, -2
 # Successor offsets (on reply t, on reply f) of the instructions that perform an action.
 _BRANCH_OFFSETS = {Basic: (1, 1), PosTest: (1, 2), NegTest: (2, 1)}
@@ -55,7 +56,7 @@ _DEADLOCK_HEAD: _RowHead = (OP_DEADLOCK, BANK_NONE, 0, M_OTHER, None, 0, 0)
 
 
 def _row_head(instruction: Instruction) -> _RowHead:
-    """The part of a state's row that depends only on its instruction.
+    """The row of every position holding ``instruction``.
 
     The offsets lead from the instruction's position to the positions its
     replies continue at. A termination's are 0, so it is its own successor;
@@ -79,11 +80,11 @@ def _row_head(instruction: Instruction) -> _RowHead:
     return (OP_ACTION, bank, focus.index or 0, method, act, on_t, on_f)
 
 
-def _land_jumps(landing: list[int | None], heads: list[_RowHead], jumps: list[int], exit_state: int) -> bool:
-    """Fill in the state each jump position lands on: the one jump resolver.
+def _land_jumps(landing: list[int | None], rows: tuple[_RowHead, ...], jumps: list[int], exit_state: int) -> bool:
+    """Fill in the row each jump position lands on: the one jump resolver.
 
-    ``landing`` covers positions 0..size+2 and holds None at each position
-    in ``jumps``; ``heads`` holds the row head of positions 1..size. A chain
+    ``landing`` covers positions 0..size+2 and holds each jump position of
+    ``jumps`` itself; ``rows`` holds the row head of each position. A chain
     of jumps that leaves the program lands on ``exit_state``, like position
     0 and the positions past the end; one that returns to one of its jumps
     (an infinite jump chain) lands on ``exit_state + 1``. Forward jumps are
@@ -95,13 +96,15 @@ def _land_jumps(landing: list[int | None], heads: list[_RowHead], jumps: list[in
     end = len(landing) - 1
     acyclic = True
     for p in reversed(jumps):
-        kind, offset = heads[p - 1][0], heads[p - 1][5]
+        kind, _, _, _, _, offset, _ = rows[p]
         if kind == _JUMP_BWD:
             acyclic = False
+            landing[p] = None
         elif offset == 0:
             landing[p] = cycle_state
         else:
-            landing[p] = landing[p + offset] if p + offset <= end else exit_state
+            q = p + offset
+            landing[p] = landing[q] if q <= end else exit_state
     if acyclic:
         return True
     # Every jump still unresolved targets a position in 0..size+2. The forward jumps landed
@@ -116,7 +119,7 @@ def _land_jumps(landing: list[int | None], heads: list[_RowHead], jumps: list[in
                 result = cycle_state
                 break
             chain[q] = None
-            kind, offset = heads[q - 1][0], heads[q - 1][5]
+            kind, offset = rows[q][0], rows[q][5]
             if kind == _JUMP_FWD:
                 q += offset
             else:  # a backward jump that would leave the program lands on position 0
@@ -126,126 +129,104 @@ def _land_jumps(landing: list[int | None], heads: list[_RowHead], jumps: list[in
     return False
 
 
-def resolve_jumps(sequence: InstructionSequence, start: int) -> int | None:
-    """Follow jumps from ``start`` to the position where behaviour continues.
-
-    Returns the first non-jump position reached, 0 when the chain leaves the
-    program, or None when the jumps form a cycle (infinite jump chain).
-    """
-    program = compile_program(sequence, start)
-    return program.position[program.root]
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledProgram:
-    """A program's thread as flat per-state arrays, one entry per state.
+    """A program's thread indexed by position: one shared row per distinct instruction.
 
-    States are the non-jump positions in order, then two deadlock states:
-    ``exit_state`` (behaviour left the program; its position is 0) and
-    ``exit_state + 1`` (an infinite jump chain; its position is None).
-    ``then_state``/``else_state`` are the successors on reply t and f (equal
-    for basic actions).
+    ``rows[p]`` is the row of the instruction at position p = 1..size, one
+    tuple per instruction object; a reply continues at ``landing[p + offset]``,
+    where behaviour goes on once the jumps there are followed. The deadlock
+    rows ``exit_state`` (behaviour left the program, as from position 0 or
+    past the end) and ``exit_state + 1`` (an infinite jump chain) follow the
+    last position. ``heads`` are the distinct rows in first-occurrence
+    order, ``states`` counts the non-jump positions, ``aux_top`` is the
+    highest aux index named and ``written`` holds the banks some method sets.
 
     ``acyclic`` holds when the program has no backward jump. Then every edge
-    leads to a later state or a final one, so no run visits a state twice.
+    leads to a higher row, so no run visits a row twice. The form holds the
+    instructions, not the sequence, so a sequence caches it without a cycle.
     """
 
-    source: InstructionSequence
-    kind: tuple[int, ...]
-    bank: tuple[int, ...]
-    index: tuple[int, ...]
-    method: tuple[int, ...]
-    then_state: tuple[int, ...]
-    else_state: tuple[int, ...]
-    position: tuple[int | None, ...]
-    action: tuple[Action | None, ...]
-    root: int
+    instructions: tuple[Instruction, ...]
+    rows: tuple[_RowHead, ...]
+    landing: tuple[int, ...]
+    heads: tuple[_RowHead, ...]
     exit_state: int
+    states: int
+    aux_top: int
+    written: frozenset[int]
     acyclic: bool
 
+    def entry(self, start: int = 1) -> int:
+        """The row where behaviour starting at position ``start`` continues."""
+        return self.landing[start] if 0 <= start < len(self.landing) else self.exit_state
 
-def compile_program(sequence: InstructionSequence, start: int = 1) -> CompiledProgram:
-    """Compile ``sequence`` into flat arrays, with the root at position ``start``.
+    def actions(self) -> list[Action]:
+        """The actions of the distinct instructions, in first-occurrence order."""
+        return [head[4] for head in self.heads if head[4] is not None]
 
-    One pass over the positions, plus one row head per distinct instruction
-    object (``parse`` shares equal instructions), then the jumps resolved.
+
+def compile_program(sequence: InstructionSequence) -> CompiledProgram:
+    """Compile ``sequence``; ``sequence.compiled`` holds the result once computed.
+
+    Per position, only ``map`` and ``compress`` run: one row head is built
+    per distinct instruction object (``parse`` shares equal instructions),
+    then the jumps are resolved.
     """
     instructions = sequence.instructions
     size = len(instructions)
-    heads_by_id: dict[int, _RowHead] = {}
-    heads: list[_RowHead] = []
-    rows: list[_RowHead] = []  # the heads of the states, in state order
-    positions: list[int] = []
-    jumps: list[int] = []
-    landing: list[int | None] = [None] * (size + 3)  # state reached from positions 0..size+2
-    for p, instruction in enumerate(instructions, 1):
-        head = heads_by_id.get(id(instruction))
-        if head is None:
-            head = heads_by_id[id(instruction)] = _row_head(instruction)
-        heads.append(head)
-        if head[0] >= 0:
-            landing[p] = len(positions)
-            positions.append(p)
-            rows.append(head)
-        else:
-            jumps.append(p)
-    exit_state = len(positions)
-    landing[0] = landing[size + 1] = landing[size + 2] = exit_state
-    acyclic = _land_jumps(landing, heads, jumps, exit_state)
-    rows += (_DEADLOCK_HEAD, _DEADLOCK_HEAD)
-    kind, bank, index, method, action, on_t, on_f = zip(*rows)
-    finals = (exit_state, exit_state + 1)  # the deadlock states lead to themselves
+    exit_state = size + 1
+    ids = list(map(id, instructions))
+    heads_by_id = {key: _row_head(u) for key, u in dict(zip(ids, instructions)).items()}
+    rows = (_DEADLOCK_HEAD, *map(heads_by_id.__getitem__, ids), _DEADLOCK_HEAD, _DEADLOCK_HEAD)
+    jump_ids = {key for key, head in heads_by_id.items() if head[0] < 0}
+    jumps = list(compress(range(1, exit_state), map(jump_ids.__contains__, ids)))
+    landing: list[int | None] = list(range(size + 3))
+    landing[0] = landing[size + 2] = exit_state
+    acyclic = _land_jumps(landing, rows, jumps, exit_state)
+    heads = tuple(heads_by_id.values())
     return CompiledProgram(
-        source=sequence,
-        kind=kind,
-        bank=bank,
-        index=index,
-        method=method,
-        then_state=tuple(map(landing.__getitem__, map(add, positions, on_t))) + finals,
-        else_state=tuple(map(landing.__getitem__, map(add, positions, on_f))) + finals,
-        position=tuple(positions) + (0, None),
-        action=action,
-        root=landing[start] if 0 <= start <= size + 2 else exit_state,  # type: ignore[arg-type]
+        instructions=instructions,
+        rows=rows,
+        landing=tuple(landing),  # type: ignore[arg-type]
+        heads=heads,
         exit_state=exit_state,
+        states=size - len(jumps),
+        aux_top=max((head[2] for head in heads if head[1] == BANK_AUX), default=0),
+        written=frozenset(head[1] for head in heads if head[3] in (M_SET_T, M_SET_F)),
         acyclic=acyclic,
     )
 
 
 def extract_at(sequence: InstructionSequence, start: int) -> RegularThread:
     """Thread extraction beginning at an arbitrary position (0 and >k give D)."""
-    program = compile_program(sequence, start)
-    kind = program.kind
-    exit_state = program.exit_state
+    program = sequence.compiled
+    rows, landing, exit_state = program.rows, program.landing, program.exit_state
 
-    def merged(state: int) -> int:
-        # Both deadlock states become the thread's one deadlock state.
-        return exit_state if state > exit_state else state
+    def successors(row: int) -> tuple[int, int]:
+        # Both deadlock rows become the thread's one deadlock state.
+        head = rows[row]
+        return min(landing[row + head[5]], exit_state), min(landing[row + head[6]], exit_state)
 
-    root = merged(program.root)
-    # Drop states unreachable from the root, keeping position order.
+    root = min(program.entry(start), exit_state)
+    # Drop rows unreachable from the root, keeping position order.
     keep: set[int] = set()
     stack = [root]
     while stack:
-        state = stack.pop()
-        if state in keep:
+        row = stack.pop()
+        if row in keep:
             continue
-        keep.add(state)
-        if kind[state] <= OP_TAU:
-            stack.append(merged(program.then_state[state]))
-            stack.append(merged(program.else_state[state]))
+        keep.add(row)
+        if rows[row][0] <= OP_TAU:
+            stack.extend(successors(row))
     order = sorted(keep)
     remap = {old: new for new, old in enumerate(order)}
     labels: list[StateLabel] = []
-    for old in order:
-        op = kind[old]
+    for row in order:
+        op = rows[row][0]
         if op <= OP_TAU:
-            labels.append(
-                PostNode(
-                    program.action[old],  # type: ignore[arg-type]
-                    remap[merged(program.then_state[old])],
-                    remap[merged(program.else_state[old])],
-                )
-            )
+            on_t, on_f = successors(row)
+            labels.append(PostNode(rows[row][4], remap[on_t], remap[on_f]))  # type: ignore[arg-type]
         else:
             labels.append({OP_TRUE: S_PLUS, OP_FALSE: S_MINUS}.get(op, DEADLOCK))
     return RegularThread(tuple(labels), remap[root])

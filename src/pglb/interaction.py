@@ -31,7 +31,6 @@ from .extraction import (
     M_SET_T,
     OP_TAU,
     OP_TRUE,
-    compile_program,
 )
 from .isa import InstructionSequence, TAU, render_instruction
 from .services import Reply, ServiceFamily
@@ -164,17 +163,16 @@ class TraceStep:
 _FINAL_REPLY = (Reply.T, Reply.F, Reply.D)  # by op kind, from OP_TRUE on
 
 
-def _step(program: CompiledProgram, state: int, kind: str, reply: Reply, note: str = "") -> TraceStep:
-    """The trace record of ``state``, located by the program's position map."""
-    position = program.position[state]
-    if not position:  # one of the two deadlock states
-        note = "infinite jump chain" if position is None else "no instruction to execute"
+def _step(program: CompiledProgram, row: int, kind: str, reply: Reply, note: str = "") -> TraceStep:
+    """The trace record of ``row``: the instruction at that position, or a deadlock row."""
+    if row >= program.exit_state:
+        note = "no instruction to execute" if row == program.exit_state else "infinite jump chain"
         return TraceStep("deadlock", note=note, reply=reply)
-    action = program.action[state]
+    action = program.rows[row][4]
     return TraceStep(
         kind,
-        position=position,
-        instruction=render_instruction(program.source.at(position)),
+        position=row,
+        instruction=render_instruction(program.instructions[row - 1]),
         action=None if action is None else str(action),
         reply=reply,
         note=note,
@@ -193,20 +191,24 @@ def walk(
     """Run a compiled program on packed Boolean registers: the one execution loop.
 
     Bit i of ``inputs`` holds register in:i (i = 1..input_count); registers
-    aux:1..aux_count all start at t. Any reply d ends the run: an unknown
-    method, a focus no register serves (aux:0, a named focus, an index out
-    of range) or a deadlock. A configuration (state, aux bits, input bits)
-    seen twice means the run never terminates, reply d. Raises
+    aux:1..aux_count all start at t. Only the aux registers up to the
+    program's ``aux_top`` are packed into an int: nothing reads the others.
+    Any reply d ends the run: an unknown method, a focus no register serves
+    (aux:0, a named focus, an index out of range) or a deadlock. A
+    configuration (position, aux bits, input bits) seen twice means the run
+    never terminates, reply d; when the program writes no input register,
+    the input bits never change, so one int of aux bits and position keys
+    it. Raises
     :class:`StateSpaceCapExceeded` when the run visits more than
     ``max_states`` configurations.
 
-    When the program is ``acyclic`` and ``exit_state <= max_states``, the
-    walk keeps no set of configurations and checks no cap: every step moves
-    to a later state, so no configuration can repeat, and the run visits at
-    most ``exit_state`` configurations, within the cap. The result is the
-    same as with the set.
+    When the program is ``acyclic`` and has at most ``max_states`` non-jump
+    positions, the walk keeps no set of configurations and checks no cap:
+    every step moves to a higher row, so no configuration can repeat, and
+    the run visits at most one configuration per non-jump position, within
+    the cap. The result is the same as with the set.
 
-    With a ``steps`` list, one :class:`TraceStep` per visited state is
+    With a ``steps`` list, one :class:`TraceStep` per visited row is
     appended until ``max_steps`` records, then a truncation marker; the walk
     goes on to the reply either way.
 
@@ -215,38 +217,34 @@ def walk(
     """
     if aux_count < 0:
         raise ValueError("aux_count must be >= 0")
-    kind, bank, index, method = program.kind, program.bank, program.index, program.method
-    then_state, else_state = program.then_state, program.else_state
+    rows, landing = program.rows, program.landing
     recording = steps is not None
     log: list[TraceStep] = steps if steps is not None else []
-    aux = ((1 << aux_count) - 1) << 1
-    seen: set[tuple[int, int, int]] = set()
-    tracking = not (program.acyclic and program.exit_state <= max_states)
-    state = program.root
+    aux = ((1 << min(aux_count, program.aux_top)) - 1) << 1
+    seen: set[object] = set()
+    tracking = not (program.acyclic and program.states <= max_states)
+    packed_key = BANK_IN not in program.written
+    shift = len(rows).bit_length()
+    state = program.entry()
     while True:
         if recording and len(log) >= max_steps:
             log.append(TraceStep("truncated", note=f"after {max_steps} steps"))
             recording = False
-        op = kind[state]
+        op, b, i, m, _, on_t, on_f = rows[state]
         if op >= OP_TRUE:
             answer = _FINAL_REPLY[op - OP_TRUE]
             if recording:
                 log.append(_step(program, state, "terminate", answer))
             return answer
         if tracking:
-            key = (state, aux, inputs)
+            key = aux << shift | state if packed_key else (state, aux, inputs)
             if key in seen:
                 if recording:
-                    log.append(
-                        TraceStep(
-                            "divergent", position=program.position[state], note="configuration cycle", reply=Reply.D
-                        )
-                    )
+                    log.append(TraceStep("divergent", position=state, note="configuration cycle", reply=Reply.D))
                 return Reply.D
             seen.add(key)
             if len(seen) > max_states:
                 raise StateSpaceCapExceeded(f"a run visited more than {max_states} configurations")
-        b, i = bank[state], index[state]
         if b == BANK_AUX and 0 < i <= aux_count:
             regs = aux
         elif b == BANK_IN and i <= input_count:
@@ -254,13 +252,12 @@ def walk(
         elif op == OP_TAU:
             if recording:
                 log.append(_step(program, state, "action", Reply.T))
-            state = then_state[state]
+            state = landing[state + on_t]
             continue
         else:
             if recording:
                 log.append(_step(program, state, "no-service", Reply.D, "no service under this focus"))
             return Reply.D
-        m = method[state]
         if m == M_GET:
             bit = regs >> i & 1
         elif m == M_SET_T:
@@ -279,7 +276,7 @@ def walk(
             aux = regs
         else:
             inputs = regs
-        state = then_state[state] if bit else else_state[state]
+        state = landing[state + (on_t if bit else on_f)]
 
 
 def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -> tuple[int, int, int] | None:
@@ -289,62 +286,59 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
     i-1 of j, the run ``walk(program, j << 1, input_count, aux_count)``
     takes. The three masks split all 2^input_count inputs. Applies when the
     program is ``acyclic``, has at most ``DEFAULT_STATE_CAP`` non-jump
-    states (so the walk keeps no configuration set and cannot trip its cap),
-    writes no register, and its states times 2^input_count stay within
-    ``REPLY_SETS_BIT_BUDGET``; returns None otherwise.
+    positions (so the walk keeps no configuration set and cannot trip its
+    cap), writes no register, and its non-jump positions times
+    2^input_count stay within ``REPLY_SETS_BIT_BUDGET``; returns None
+    otherwise.
 
-    One pass visits the states in index order from the root, which is a
+    One pass visits the rows in index order from the root, which is a
     topological order, since every edge of an acyclic program leads to a
-    later state or a final one. ``reach[s]`` holds the inputs whose run
-    reaches state s. The rules are :func:`walk`'s, applied to a set of
-    inputs at once: a served ``get`` on in:i splits the set by bit i-1, a
-    served ``get`` on aux goes to the then-branch (aux registers start at t
-    and nothing writes them), tau goes to the then-branch, and everything
-    else the walk answers d for goes to the d set.
+    higher row. ``reach[r]`` holds the inputs whose run reaches row r; no
+    run reaches a jump position. The rules are :func:`walk`'s, applied to a
+    set of inputs at once: a served ``get`` on in:i splits the set by bit
+    i-1, a served ``get`` on aux goes to the then-branch (aux registers
+    start at t and nothing writes them), tau goes to the then-branch, and
+    everything else the walk answers d for goes to the d set.
     """
     if aux_count < 0:
         raise ValueError("aux_count must be >= 0")
-    method = program.method
     if (
         not program.acyclic
-        or program.exit_state > DEFAULT_STATE_CAP
-        or program.exit_state << input_count > REPLY_SETS_BIT_BUDGET
-        or M_SET_T in method
-        or M_SET_F in method
+        or program.states > DEFAULT_STATE_CAP
+        or program.states << input_count > REPLY_SETS_BIT_BUDGET
+        or program.written
     ):
         return None
-    kind, bank, index = program.kind, program.bank, program.index
-    then_state, else_state = program.then_state, program.else_state
+    rows, landing, root = program.rows, program.landing, program.entry()
     masks = input_masks(input_count)
-    reach = [0] * len(kind)
-    reach[program.root] = (1 << (1 << input_count)) - 1
+    reach = [0] * len(rows)
+    reach[root] = (1 << (1 << input_count)) - 1
     finals = [0, 0, 0]  # the t, f and d sets, by op kind from OP_TRUE on
-    for state in range(program.root, len(kind)):
-        # Every edge leads to a later state, so this state's set is complete
+    for row in range(root, len(rows)):
+        # Every edge leads to a higher row, so this row's set is complete
         # now and nothing reads it again: drop it to keep few masks alive.
-        here, reach[state] = reach[state], 0
+        here, reach[row] = reach[row], 0
         if not here:
             continue
-        op = kind[state]
+        op, b, i, m, _, on_t, on_f = rows[row]
         if op >= OP_TRUE:
             finals[op - OP_TRUE] |= here
             continue
-        b, i = bank[state], index[state]
         if b == BANK_AUX and 0 < i <= aux_count:
             on = here
         elif b == BANK_IN and i <= input_count:
             on = here & masks[i]
         elif op == OP_TAU:
-            reach[then_state[state]] |= here
+            reach[landing[row + on_t]] |= here
             continue
         else:
             finals[2] |= here
             continue
-        if method[state] != M_GET:
+        if m != M_GET:
             finals[2] |= here
             continue
-        reach[then_state[state]] |= on
-        reach[else_state[state]] |= here ^ on
+        reach[landing[row + on_t]] |= on
+        reach[landing[row + on_f]] |= here ^ on
     return finals[0], finals[1], finals[2]
 
 
@@ -368,7 +362,7 @@ def compute(
     the given values: ``reply(use_apply(extract(p), aux), inputs)``, walked
     lazily. ``max_states`` bounds the configurations the run visits.
     """
-    return walk(compile_program(sequence), _pack_inputs(inputs), len(inputs), aux_count, max_states)
+    return walk(sequence.compiled, _pack_inputs(inputs), len(inputs), aux_count, max_states)
 
 
 def trace(
@@ -385,13 +379,7 @@ def trace(
     """
     steps: list[TraceStep] = []
     answer = walk(
-        compile_program(sequence),
-        _pack_inputs(inputs),
-        len(inputs),
-        aux_count,
-        DEFAULT_STATE_CAP,
-        steps,
-        max_steps,
+        sequence.compiled, _pack_inputs(inputs), len(inputs), aux_count, DEFAULT_STATE_CAP, steps, max_steps
     )
     if steps[-1].kind == "truncated":
         steps[-1] = replace(steps[-1], reply=answer)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import ParseError
@@ -166,6 +167,12 @@ class InstructionSequence:
         if not 1 <= position <= len(self.instructions):
             raise IndexError(f"position {position} out of range 1..{len(self.instructions)}")
         return self.instructions[position - 1]
+
+    @cached_property
+    def compiled(self) -> "CompiledProgram":  # noqa: F821
+        """:func:`pglb.extraction.compile_program` of this sequence, computed on first use."""
+        from .extraction import compile_program  # extraction imports this module
+        return compile_program(self)
 
     def __len__(self) -> int:
         return len(self.instructions)

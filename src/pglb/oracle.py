@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InfeasibleArityError
-from .extraction import compile_program
 from .interaction import reply_sets, walk
 from .isa import InstructionSequence
 from .services import Reply
@@ -102,7 +101,7 @@ def equivalence_check(
     """
     if fn.arity > 20:
         raise InfeasibleArityError(f"sweep over 2^{fn.arity} inputs refused")
-    program = compile_program(sequence)
+    program = sequence.compiled
     arity = fn.arity
     sets = reply_sets(program, arity, aux_count)
     # Table index j has input i at bit i-1; the walk wants in:i at bit i.

@@ -88,6 +88,28 @@ def test_run_rejects_plain_actions(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", path, "--in", "tt")
     assert code == 2
     assert not out and "non-service action" in err
+    # The first action without a focus is named, though a later one occurs between its two copies.
+    path = write(tmp_path, "q.pga", "a; +b; a")
+    assert run_cli(capsys, "run", path) == (2, "", "non-service action 'a'\n")
+
+
+def test_one_run_compiles_its_program_once(tmp_path, capsys, monkeypatch):
+    import pglb.extraction as extraction
+
+    compile_program = extraction.compile_program
+    compiled = []
+
+    def counted(sequence):
+        compiled.append(sequence)
+        return compile_program(sequence)
+
+    monkeypatch.setattr(extraction, "compile_program", counted)
+    path = write(tmp_path, "p.pga", "+in:1.get; +aux:1.get; !t; !f")
+    for flags in ((), ("--trace",)):
+        compiled.clear()
+        code, out, _ = run_cli(capsys, "run", path, "--in", "t", "--aux", "1", *flags)
+        assert code == 0 and out.endswith("t\n")
+        assert len(compiled) == 1
 
 
 def test_run_rejects_bad_input_vector(tmp_path, capsys):
@@ -213,21 +235,31 @@ def test_a_huge_table_header_is_a_parse_error(tmp_path, capsys):
         assert f"parse error: 1: {message}" in err
 
 
-# Oversized numeric arguments, one row per (argv, file text, exit code). "{file}" is a file
-# holding the text and "{program}" a small program. Each must end in exit 2 or 3, never 4.
+# Oversized numeric arguments, one row per (argv, file text, exit code, stdout). "{file}" is a
+# file holding the text, "{program}" a small program and "{table}" a small table. Each must end
+# in exit 0, 2 or 3, never 4; a refusal prints nothing to stdout.
+AUX_READER = "+in:1.get; +aux:1.get; !t; !f\n"
+AUX_WRITER = "aux:1.set:f; +in:1.get; !t; !f\n"
 OVERSIZED = [
-    pytest.param(["gen", "3sat", "-k", "20"], None, 3, id="gen-k20"),  # 576,101 instructions
-    pytest.param(["gen", "3sat", "-k", "64"], None, 3, id="gen-k64"),
-    pytest.param(["gen", "3sat", "-k", "1" + "0" * 40], None, 3, id="gen-k1e40"),
-    pytest.param(["gen", "3sat", "-k", "9" * 5000], None, 2, id="gen-k-5000-digits"),
-    pytest.param(["encode", "cnf", "{file}"], "p cnf 20 1\n1 2 3 0\n", 3, id="encode-k20"),
-    pytest.param(["encode", "cnf", "{file}"], "p cnf 100000 1\n1 2 3 0\n", 3, id="encode-k100000"),
-    pytest.param(["encode", "cnf", "{file}"], f"p cnf {'9' * 30} 1\n1 2 3 0\n", 3, id="encode-k-30-digits"),
-    pytest.param(["encode", "cnf", "{file}"], f"p cnf {'9' * 5000} 1\n", 2, id="encode-k-5000-digits"),
-    pytest.param(["lengths", "--max-k", "13"], None, 2, id="lengths-13"),
-    pytest.param(["lengths", "--max-k", "1" + "0" * 30], None, 2, id="lengths-1e30"),
-    pytest.param(["compile", "tt", "{file}"], "k 99\n", 2, id="compile-tt-k99"),
-    pytest.param(["verify", "{program}", "--tt", "{file}"], f"k {'9' * 40}\n", 2, id="verify-k-40-digits"),
+    pytest.param(["gen", "3sat", "-k", "20"], None, 3, "", id="gen-k20"),  # 576,101 instructions
+    pytest.param(["gen", "3sat", "-k", "64"], None, 3, "", id="gen-k64"),
+    pytest.param(["gen", "3sat", "-k", "1" + "0" * 40], None, 3, "", id="gen-k1e40"),
+    pytest.param(["gen", "3sat", "-k", "9" * 5000], None, 2, "", id="gen-k-5000-digits"),
+    pytest.param(["encode", "cnf", "{file}"], "p cnf 20 1\n1 2 3 0\n", 3, "", id="encode-k20"),
+    pytest.param(["encode", "cnf", "{file}"], "p cnf 100000 1\n1 2 3 0\n", 3, "", id="encode-k100000"),
+    pytest.param(["encode", "cnf", "{file}"], f"p cnf {'9' * 30} 1\n1 2 3 0\n", 3, "", id="encode-k-30-digits"),
+    pytest.param(["encode", "cnf", "{file}"], f"p cnf {'9' * 5000} 1\n", 2, "", id="encode-k-5000-digits"),
+    pytest.param(["lengths", "--max-k", "13"], None, 2, "", id="lengths-13"),
+    pytest.param(["lengths", "--max-k", "1" + "0" * 30], None, 2, "", id="lengths-1e30"),
+    pytest.param(["compile", "tt", "{file}"], "k 99\n", 2, "", id="compile-tt-k99"),
+    pytest.param(["verify", "{program}", "--tt", "{file}"], f"k {'9' * 40}\n", 2, "", id="verify-k-40-digits"),
+    # --aux holds only the aux registers the program names.
+    pytest.param(["run", "{file}", "--in", "t", "--aux", "1" + "0" * 20], AUX_READER, 0, "t\n", id="run-aux1e20"),
+    pytest.param(["run", "{file}", "--in", "t", "--aux", "1" + "0" * 9], AUX_READER, 0, "t\n", id="run-aux1e9"),
+    # A register write sends verify to one walk per input.
+    pytest.param(["verify", "{file}", "--tt", "{table}", "--aux", "1" + "0" * 20], AUX_WRITER, 0,
+                 "equivalent on all 2 inputs\n", id="verify-aux1e20"),
+    pytest.param(["project", "{file}", "-n", "100000000"], "a; \\#1\n", 3, "", id="project-n1e8"),
 ]
 
 
@@ -235,18 +267,22 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("argv, text, expected", OVERSIZED)
-def test_oversized_numeric_arguments_are_refused_quickly(tmp_path, argv, text, expected):
+@pytest.mark.parametrize("argv, text, expected, stdout", OVERSIZED)
+def test_oversized_numeric_arguments_are_refused_quickly(tmp_path, argv, text, expected, stdout):
     # A separate process with 1 GiB of address space and a timeout: a missing guard fails the
     # test instead of taking the machine's memory.
-    files = {"{file}": write(tmp_path, "input", text or ""), "{program}": write(tmp_path, "p.pga", "!t\n")}
+    files = {
+        "{file}": write(tmp_path, "input", text or ""),
+        "{program}": write(tmp_path, "p.pga", "!t\n"),
+        "{table}": write(tmp_path, "t.tt", "k 1\nf f\nt t\n"),
+    }
     env = dict(os.environ, PYTHONPATH=str(Path(pglb.__file__).parents[1]))
     started = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "pglb.cli", *(files.get(arg, arg) for arg in argv)],
         capture_output=True, text=True, env=env, timeout=20, preexec_fn=_limit_memory,
     )
-    assert (done.returncode, done.stdout) == (expected, ""), done.stderr
+    assert (done.returncode, done.stdout) == (expected, stdout), done.stderr
     assert time.perf_counter() - started < 5.0
 
 

@@ -48,7 +48,7 @@ from pglb import (
     trace,
     use_apply,
 )
-from pglb.extraction import compile_program
+from pglb.extraction import BANK_AUX, M_SET_F, M_SET_T, compile_program
 from pglb.interaction import DEFAULT_STATE_CAP, reply_sets, walk
 from thelpers import reference_compile_program
 
@@ -148,11 +148,33 @@ def test_a_negative_aux_count_is_rejected_on_both_paths():
 def test_compile_program_matches_the_reference(program):
     # The parsed copy shares one object per distinct instruction, as parse output does.
     for sequence in (program, parse(render(program))):
-        for start in range(-1, len(sequence) + 4):
+        size = len(sequence)
+        compiled = compile_program(sequence)
+        rows, landing = compiled.rows, compiled.landing
+
+        def where(row):
+            # A row as the reference's position field names it: the two deadlock rows follow the last position.
+            return row if row <= size else {size + 1: 0, size + 2: None}[row]
+
+        for start in range(-1, size + 4):
             reference = reference_compile_program(sequence, start)
-            compiled = compile_program(sequence, start)
-            assert {name: getattr(compiled, name) for name in reference} == reference
-            assert compiled.acyclic is not any(isinstance(u, BwdJump) for u in sequence)
+            assert where(compiled.entry(start)) == reference["position"][reference["root"]]
+        position = reference["position"]
+        for state, p in enumerate(position[:-2]):
+            kind, bank, index, method, action, on_t, on_f = rows[p]
+            assert (kind, bank, index, method, action) == tuple(
+                reference[name][state] for name in ("kind", "bank", "index", "method", "action")
+            )
+            assert where(landing[p + on_t]) == position[reference["then_state"][state]]
+            assert where(landing[p + on_f]) == position[reference["else_state"][state]]
+        assert compiled.states == reference["exit_state"]
+        assert compiled.aux_top == max(
+            (i for b, i in zip(reference["bank"], reference["index"]) if b == BANK_AUX), default=0
+        )
+        assert compiled.written == {
+            b for b, m in zip(reference["bank"], reference["method"]) if m in (M_SET_T, M_SET_F)
+        }
+        assert compiled.acyclic is not any(isinstance(u, BwdJump) for u in sequence)
 
 
 loop_free_programs = st.lists(
@@ -221,14 +243,14 @@ def test_reply_sets_match_a_walk_per_input(body, input_count, aux_count, extra, 
 def test_reply_sets_leave_programs_over_the_state_cap_to_the_walk(monkeypatch):
     compiled = compile_program(parse("+in:1.get; !t; !f"))
     assert reply_sets(compiled, 1) == (0b10, 0b01, 0)
-    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", compiled.exit_state - 1)
+    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", compiled.states - 1)
     assert reply_sets(compiled, 1) is None
 
 
 def test_reply_sets_leave_programs_over_the_bit_budget_to_the_walk(monkeypatch):
     program = parse("+in:1.get; !t; !f")
     compiled = compile_program(program)
-    monkeypatch.setattr("pglb.interaction.REPLY_SETS_BIT_BUDGET", compiled.exit_state << 3)
+    monkeypatch.setattr("pglb.interaction.REPLY_SETS_BIT_BUDGET", compiled.states << 3)
     assert reply_sets(compiled, 3) == (0b10101010, 0b01010101, 0)
     assert reply_sets(compiled, 4) is None
     entries = [bool(j & 1) for j in range(16)]

@@ -16,7 +16,6 @@ from pglb import (
     extract_at,
     parse,
     project,
-    resolve_jumps,
 )
 from thelpers import random_sequence
 
@@ -84,11 +83,14 @@ def test_loop_program_with_escape():
 
 
 def test_resolve_jumps_cases():
-    assert resolve_jumps(parse("#2; !t; !f"), 1) == 3
-    assert resolve_jumps(parse(r"#2; !t; \#1"), 1) == 2
-    assert resolve_jumps(parse(r"#1; \#1"), 1) is None
-    assert resolve_jumps(parse("a; !t"), 1) == 1  # non-jump resolves to itself
-    assert resolve_jumps(parse("a; #5"), 2) == 0  # leaves the program
+    # The row where behaviour from a start position continues.
+    assert parse("#2; !t; !f").compiled.entry(1) == 3
+    assert parse(r"#2; !t; \#1").compiled.entry(1) == 2
+    cycle = parse(r"#1; \#1").compiled
+    assert cycle.entry(1) == cycle.exit_state + 1  # an infinite jump chain
+    assert parse("a; !t").compiled.entry(1) == 1  # non-jump resolves to itself
+    leaving = parse("a; #5").compiled
+    assert leaving.entry(2) == leaving.exit_state  # leaves the program
 
 
 def test_jump_transparency():
