@@ -25,9 +25,6 @@ from .isa import (
     TERM_F,
     TERM_T,
     Termination,
-    foci_used,
-    is_loop_free,
-    length,
     parse,
     render,
 )
@@ -42,12 +39,9 @@ from .threads import (
     S_PLUS,
     SMinus,
     SPlus,
-    action_prefix,
     aip_equal,
     bisimilar,
     project,
-    project_term,
-    projective_sequence,
     render_term,
     thread_equations,
     thread_from_term,
@@ -56,13 +50,10 @@ from .threads import (
 from .extraction import extract, extract_at
 from .services import (
     BooleanRegister,
-    EMPTY,
-    EmptyService,
     REG_D,
     REG_F,
     REG_T,
     Reply,
-    Service,
     ServiceFamily,
     boolean_register,
     compose,

@@ -18,7 +18,15 @@ from .extraction import extract
 from .interaction import DEFAULT_STATE_CAP, compute, trace
 from .isa import InstructionSequence, parse, render
 from .oracle import equivalence_check
-from .sat3 import clause_count, encode_cnf, encoding_to_text, gen_3sat, gen_3sat_length, parse_dimacs
+from .sat3 import (
+    clause_count,
+    encode_cnf,
+    encoding_to_text,
+    gen_3sat,
+    gen_3sat_length,
+    parse_dimacs,
+    parse_encoding,
+)
 from .synthesis import (
     compile_circuit,
     compile_truth_table,
@@ -41,12 +49,6 @@ def _read(path: str) -> str:
 
 def _load_program(path: str) -> InstructionSequence:
     return parse(_read(path))
-
-
-def _parse_inputs(text: str) -> list[bool]:
-    if not set(text) <= {"t", "f"}:
-        raise ParseError(f"input vector must be a t/f string, got {text!r}")
-    return [c == "t" for c in text]
 
 
 def _cmd_fmt(args) -> int:
@@ -97,7 +99,7 @@ def _cmd_run(args) -> int:
         if action.focus is None:
             print(f"non-service action '{action}'", file=sys.stderr)
             return EXIT_USAGE
-    inputs = _parse_inputs(args.inputs)
+    inputs = parse_encoding(args.inputs)
     if not args.trace:
         print(compute(program, inputs, args.aux))
         return EXIT_OK
@@ -162,30 +164,22 @@ def _cmd_lengths(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 # lengths prints exact integers; the loop-free length at k=13 has 5,291 digits, past Python's
 # default limit of 4,300 for converting an int to text.
 MAX_LENGTHS_K = 12
 
 
-def _lengths_k(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_LENGTHS_K:
-        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_LENGTHS_K}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an int of at least ``low`` and, when given, at most ``high``."""
+    bounds = f">= {low}" if high is None else f"between {low} and {high}"
 
+    def bounded_int(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be {bounds}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+    return bounded_int
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,13 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     proj = commands.add_parser("project", help="print the depth-n approximation of the thread")
     proj.add_argument("file")
-    proj.add_argument("-n", "--depth", type=_nonnegative_int, required=True)
+    proj.add_argument("-n", "--depth", type=_int_in(0), required=True)
     proj.set_defaults(func=_cmd_project)
 
     run = commands.add_parser("run", help="run a program against Boolean registers")
     run.add_argument("file")
     run.add_argument("--in", dest="inputs", default="", help="input registers as a t/f string")
-    run.add_argument("--aux", type=_nonnegative_int, default=0, help="number of aux registers")
+    run.add_argument("--aux", type=_int_in(0), default=0, help="number of aux registers")
     run.add_argument("--trace", action="store_true", help="print one line per executed step")
     run.set_defaults(func=_cmd_run)
 
@@ -227,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = commands.add_parser("gen", help="generate a solver program")
     gen_sub = gen.add_subparsers(dest="what", required=True)
     gen_sat = gen_sub.add_parser("3sat", help="satisfiability decider with one backward jump")
-    gen_sat.add_argument("-k", type=_positive_int, required=True, help="number of variables")
+    gen_sat.add_argument("-k", type=_int_in(1), required=True, help="number of variables")
     gen_sat.set_defaults(func=_cmd_gen_3sat)
 
     enc = commands.add_parser("encode", help="encode problem instances")
@@ -239,11 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver = commands.add_parser("verify", help="check a program against a truth table")
     ver.add_argument("program")
     ver.add_argument("--tt", required=True, help="truth-table file")
-    ver.add_argument("--aux", type=_nonnegative_int, default=0)
+    ver.add_argument("--aux", type=_int_in(0), default=0)
     ver.set_defaults(func=_cmd_verify)
 
     lengths = commands.add_parser("lengths", help="loop-free vs backward-jump program sizes")
-    lengths.add_argument("--max-k", type=_lengths_k, default=4, help=f"1..{MAX_LENGTHS_K}")
+    lengths.add_argument("--max-k", type=_int_in(1, MAX_LENGTHS_K), default=4, help=f"1..{MAX_LENGTHS_K}")
     lengths.set_defaults(func=_cmd_lengths)
 
     return parser

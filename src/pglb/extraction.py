@@ -139,8 +139,11 @@ class CompiledProgram:
     rows ``exit_state`` (behaviour left the program, as from position 0 or
     past the end) and ``exit_state + 1`` (an infinite jump chain) follow the
     last position. ``heads`` are the distinct rows in first-occurrence
-    order, ``states`` counts the non-jump positions, ``aux_top`` is the
-    highest aux index named and ``written`` holds the banks some method sets.
+    order, ``states`` counts the non-jump positions and ``written`` holds
+    the banks some method sets. ``aux_named`` holds the aux indices above 0
+    the program names, ascending; an aux row's index is the rank of its
+    focus there (1 for the lowest, 0 for aux:0), so the registers packed for
+    a run are as many as the program names, however large the indices.
 
     ``acyclic`` holds when the program has no backward jump. Then every edge
     leads to a higher row, so no run visits a row twice. The form holds the
@@ -153,7 +156,7 @@ class CompiledProgram:
     heads: tuple[_RowHead, ...]
     exit_state: int
     states: int
-    aux_top: int
+    aux_named: tuple[int, ...]
     written: frozenset[int]
     acyclic: bool
 
@@ -171,13 +174,18 @@ def compile_program(sequence: InstructionSequence) -> CompiledProgram:
 
     Per position, only ``map`` and ``compress`` run: one row head is built
     per distinct instruction object (``parse`` shares equal instructions),
-    then the jumps are resolved.
+    then aux indices become ranks and the jumps are resolved.
     """
     instructions = sequence.instructions
     size = len(instructions)
     exit_state = size + 1
     ids = list(map(id, instructions))
     heads_by_id = {key: _row_head(u) for key, u in dict(zip(ids, instructions)).items()}
+    aux_named = sorted({head[2] for head in heads_by_id.values() if head[1] == BANK_AUX} - {0})
+    rank = {index: r for r, index in enumerate(aux_named, 1)}
+    for key, head in heads_by_id.items():
+        if head[1] == BANK_AUX and rank.get(head[2], 0) != head[2]:
+            heads_by_id[key] = (*head[:2], rank[head[2]], *head[3:])
     rows = (_DEADLOCK_HEAD, *map(heads_by_id.__getitem__, ids), _DEADLOCK_HEAD, _DEADLOCK_HEAD)
     jump_ids = {key for key, head in heads_by_id.items() if head[0] < 0}
     jumps = list(compress(range(1, exit_state), map(jump_ids.__contains__, ids)))
@@ -192,7 +200,7 @@ def compile_program(sequence: InstructionSequence) -> CompiledProgram:
         heads=heads,
         exit_state=exit_state,
         states=size - len(jumps),
-        aux_top=max((head[2] for head in heads if head[1] == BANK_AUX), default=0),
+        aux_named=tuple(aux_named),
         written=frozenset(head[1] for head in heads if head[3] in (M_SET_T, M_SET_F)),
         acyclic=acyclic,
     )

@@ -18,6 +18,7 @@ its states, with sets of inputs held as bit masks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -57,12 +58,12 @@ def use_apply(
     unexpectedly large state space.
     """
     labels_in = thread.states
-    index: dict[tuple[int, str], int] = {}
+    index: dict[tuple[int, frozenset], int] = {}
     labels_out: list[object] = []
     queue: deque[tuple[int, int, ServiceFamily]] = deque()
 
     def config(state: int, fam: ServiceFamily) -> int:
-        key = (state, fam.signature())
+        key = (state, fam.pairs)
         known = index.get(key)
         if known is not None:
             return known
@@ -110,9 +111,9 @@ def reply(thread: RegularThread, family: ServiceFamily) -> Reply:
     state = thread.root
     fam = family
     labels = thread.states
-    seen: set[tuple[int, str]] = set()
+    seen: set[tuple[int, frozenset]] = set()
     while True:
-        key = (state, fam.signature())
+        key = (state, fam.pairs)
         if key in seen:
             return Reply.D
         seen.add(key)
@@ -191,8 +192,9 @@ def walk(
     """Run a compiled program on packed Boolean registers: the one execution loop.
 
     Bit i of ``inputs`` holds register in:i (i = 1..input_count); registers
-    aux:1..aux_count all start at t. Only the aux registers up to the
-    program's ``aux_top`` are packed into an int: nothing reads the others.
+    aux:1..aux_count all start at t. Only the aux registers the program
+    names are packed into an int, bit r for the one of rank r (see
+    :class:`~pglb.extraction.CompiledProgram`): nothing reads the others.
     Any reply d ends the run: an unknown method, a focus no register serves
     (aux:0, a named focus, an index out of range) or a deadlock. A
     configuration (position, aux bits, input bits) seen twice means the run
@@ -220,7 +222,8 @@ def walk(
     rows, landing = program.rows, program.landing
     recording = steps is not None
     log: list[TraceStep] = steps if steps is not None else []
-    aux = ((1 << min(aux_count, program.aux_top)) - 1) << 1
+    served = bisect_right(program.aux_named, aux_count)  # the ranks 1..served hold a register
+    aux = ((1 << served) - 1) << 1
     seen: set[object] = set()
     tracking = not (program.acyclic and program.states <= max_states)
     packed_key = BANK_IN not in program.written
@@ -245,7 +248,7 @@ def walk(
             seen.add(key)
             if len(seen) > max_states:
                 raise StateSpaceCapExceeded(f"a run visited more than {max_states} configurations")
-        if b == BANK_AUX and 0 < i <= aux_count:
+        if b == BANK_AUX and 0 < i <= served:
             regs = aux
         elif b == BANK_IN and i <= input_count:
             regs = inputs
@@ -310,6 +313,7 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
     ):
         return None
     rows, landing, root = program.rows, program.landing, program.entry()
+    served = bisect_right(program.aux_named, aux_count)
     masks = input_masks(input_count)
     reach = [0] * len(rows)
     reach[root] = (1 << (1 << input_count)) - 1
@@ -324,7 +328,7 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
         if op >= OP_TRUE:
             finals[op - OP_TRUE] |= here
             continue
-        if b == BANK_AUX and 0 < i <= aux_count:
+        if b == BANK_AUX and 0 < i <= served:
             on = here
         elif b == BANK_IN and i <= input_count:
             on = here & masks[i]

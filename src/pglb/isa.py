@@ -1,4 +1,4 @@
-"""Instruction set, concrete syntax and static queries.
+"""Instruction set and concrete syntax.
 
 A program is a non-empty, 1-indexed sequence of primitive instructions:
 
@@ -27,7 +27,6 @@ from .errors import ParseError
 GET = "get"
 SET_T = "set:t"
 SET_F = "set:f"
-REGISTER_METHODS = frozenset({GET, SET_T, SET_F})
 
 _IDENT = r"[A-Za-z0-9_]+"
 _METHOD = rf"{_IDENT}(?::{_IDENT})*"
@@ -158,16 +157,6 @@ class InstructionSequence:
         if not self.instructions:
             raise ValueError("empty instruction sequence")
 
-    @staticmethod
-    def of(*instructions: Instruction) -> "InstructionSequence":
-        return InstructionSequence(instructions)
-
-    def at(self, position: int) -> Instruction:
-        """Instruction at a 1-based position."""
-        if not 1 <= position <= len(self.instructions):
-            raise IndexError(f"position {position} out of range 1..{len(self.instructions)}")
-        return self.instructions[position - 1]
-
     @cached_property
     def compiled(self) -> "CompiledProgram":  # noqa: F821
         """:func:`pglb.extraction.compile_program` of this sequence, computed on first use."""
@@ -216,25 +205,6 @@ def render(sequence: InstructionSequence) -> str:
             text = rendered[id(u)] = render_instruction(u)
         parts.append(text)
     return "; ".join(parts)
-
-
-def length(sequence: InstructionSequence) -> int:
-    """Number of primitive instructions."""
-    return len(sequence)
-
-
-def is_loop_free(sequence: InstructionSequence) -> bool:
-    """True when the sequence contains no backward jump."""
-    return not any(isinstance(u, BwdJump) for u in sequence)
-
-
-def foci_used(sequence: InstructionSequence) -> set[Focus]:
-    """All foci occurring in focused actions of the sequence."""
-    found: set[Focus] = set()
-    for u in sequence:
-        if isinstance(u, (Basic, PosTest, NegTest)) and u.action.focus is not None:
-            found.add(u.action.focus)
-    return found
 
 
 def _parse_focus(text: str, line: int, column: int) -> Focus:

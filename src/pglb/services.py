@@ -1,10 +1,10 @@
-"""Services, Boolean registers and named service families.
+"""Boolean registers and named service families: the paper's one kind of service.
 
-A service processes methods: each request yields a reply in {t, f, d} and a
-derived service. Reply d means the request is rejected and the service
-degenerates to the empty service, which rejects everything. Services are
-grouped into families keyed by focus; composing two families that share a
-focus collapses that focus to the empty service.
+A register processes methods: each request yields a reply in {t, f, d} and a
+derived register. Reply d means the request is rejected and the register
+becomes divergent, the empty service ``REG_D``, which rejects everything.
+Registers are grouped into families keyed by focus; composing two families
+that share a focus collapses that focus to ``REG_D``.
 """
 
 from __future__ import annotations
@@ -31,49 +31,8 @@ class Reply(Enum):
         return self.value
 
 
-class Service:
-    """Behavioural contract: reply to a method and derive the follow-up service.
-
-    ``state_key`` must identify the current state uniquely among the states
-    the service can reach (and must not contain ``;`` or ``=``); it is what
-    makes divergence detection exact. Empty services all share one key.
-    """
-
-    def reply(self, method: str) -> Reply:
-        raise NotImplementedError
-
-    def derive(self, method: str) -> "Service":
-        raise NotImplementedError
-
-    def state_key(self) -> str:
-        raise NotImplementedError
-
-    def is_empty(self) -> bool:
-        return False
-
-
 @dataclass(frozen=True)
-class EmptyService(Service):
-    """Rejects every request; the collapse target for focus clashes."""
-
-    def reply(self, method: str) -> Reply:
-        return Reply.D
-
-    def derive(self, method: str) -> "EmptyService":
-        return self
-
-    def state_key(self) -> str:
-        return "empty"
-
-    def is_empty(self) -> bool:
-        return True
-
-
-EMPTY = EmptyService()
-
-
-@dataclass(frozen=True)
-class BooleanRegister(Service):
+class BooleanRegister:
     """Three-state register over methods get, set:t and set:f.
 
     get reports the stored value; the set methods acknowledge with t. A
@@ -102,12 +61,6 @@ class BooleanRegister(Service):
             return self if self.value is Reply.F else REG_F
         return REG_D
 
-    def state_key(self) -> str:
-        return "empty" if self.value is Reply.D else f"reg:{self.value}"
-
-    def is_empty(self) -> bool:
-        return self.value is Reply.D
-
 
 REG_T = BooleanRegister(Reply.T)
 REG_F = BooleanRegister(Reply.F)
@@ -120,53 +73,38 @@ def boolean_register(value: Reply | bool) -> BooleanRegister:
 
 
 class ServiceFamily:
-    """Immutable association of foci to services.
+    """Immutable association of foci to Boolean registers.
 
-    Equality is extensional: same foci, pairwise state-equal services. The
-    canonical signature string doubles as the family part of configuration
-    keys during interaction.
+    Equality is extensional: the same (focus, register) pairs. That set,
+    computed once, is the family's part of a configuration key during
+    interaction.
     """
 
-    __slots__ = ("_services", "_signature")
+    __slots__ = ("_services", "_pairs")
 
-    def __init__(self, services: Mapping[Focus, Service] | Iterable[tuple[Focus, Service]] = ()):
-        self._services: dict[Focus, Service] = dict(services)
-        self._signature: str | None = None
+    def __init__(self, services: Mapping[Focus, BooleanRegister] | Iterable[tuple[Focus, BooleanRegister]] = ()):
+        self._services: dict[Focus, BooleanRegister] = dict(services)
+        self._pairs: frozenset[tuple[Focus, BooleanRegister]] | None = None
 
-    @staticmethod
-    def empty() -> "ServiceFamily":
-        return _EMPTY_FAMILY
-
-    @staticmethod
-    def singleton(focus: Focus, service: Service) -> "ServiceFamily":
-        return ServiceFamily({focus: service})
-
-    def get(self, focus: Focus) -> Service | None:
+    def get(self, focus: Focus) -> BooleanRegister | None:
         return self._services.get(focus)
 
-    def foci(self) -> frozenset[Focus]:
-        return frozenset(self._services)
-
-    def items(self) -> list[tuple[Focus, Service]]:
-        return sorted(self._services.items(), key=lambda pair: str(pair[0]))
-
-    def replaced(self, focus: Focus, service: Service) -> "ServiceFamily":
+    def replaced(self, focus: Focus, service: BooleanRegister) -> "ServiceFamily":
         if self._services.get(focus) is service:
             return self
         updated = dict(self._services)
         updated[focus] = service
         return ServiceFamily(updated)
 
-    def signature(self) -> str:
-        if self._signature is None:
-            self._signature = ";".join(f"{focus}={svc.state_key()}" for focus, svc in self.items())
-        return self._signature
+    @property
+    def pairs(self) -> frozenset[tuple[Focus, BooleanRegister]]:
+        """The (focus, register) pairs: what equality, hashing and configuration keys use."""
+        if self._pairs is None:
+            self._pairs = frozenset(self._services.items())
+        return self._pairs
 
     def __contains__(self, focus: Focus) -> bool:
         return focus in self._services
-
-    def __len__(self) -> int:
-        return len(self._services)
 
     def __iter__(self) -> Iterator[Focus]:
         return iter(self._services)
@@ -174,23 +112,20 @@ class ServiceFamily:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ServiceFamily):
             return NotImplemented
-        return self.signature() == other.signature()
+        return self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash(self.signature())
+        return hash(self.pairs)
 
     def __repr__(self) -> str:
-        return f"ServiceFamily({self.signature() or 'empty'})"
-
-
-_EMPTY_FAMILY = ServiceFamily()
+        return f"ServiceFamily({self._services})"
 
 
 def compose(left: ServiceFamily, right: ServiceFamily) -> ServiceFamily:
-    """Union of families; a focus present in both collapses to the empty service."""
+    """Union of families; a focus present in both collapses to the empty service ``REG_D``."""
     merged = dict((focus, left.get(focus)) for focus in left)
     for focus in right:
-        merged[focus] = EMPTY if focus in merged else right.get(focus)
+        merged[focus] = REG_D if focus in merged else right.get(focus)
     return ServiceFamily(merged)  # type: ignore[arg-type]
 
 

@@ -11,7 +11,7 @@ and two regular threads are interchangeable exactly when they are bisimilar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from .isa import Action
 
@@ -105,11 +105,6 @@ def _hash_consing() -> Callable[[Action, FiniteThread, FiniteThread], Post]:
     return make_post
 
 
-def action_prefix(action: Action, thread: FiniteThread) -> Post:
-    """``a . T``: both replies continue as ``thread``."""
-    return Post(action, thread, thread)
-
-
 @dataclass(frozen=True)
 class PostNode:
     """Graph form of a postconditional: branch targets are state ids."""
@@ -144,14 +139,6 @@ class RegularThread:
                 for target in (label.then_state, label.else_state):
                     if not 0 <= target < len(self.states):
                         raise ValueError(f"dangling state reference {target}")
-
-    @staticmethod
-    def terminated(positive: bool) -> "RegularThread":
-        return RegularThread((S_PLUS if positive else S_MINUS,), 0)
-
-    @staticmethod
-    def deadlocked() -> "RegularThread":
-        return RegularThread((DEADLOCK,), 0)
 
 
 def thread_from_term(term: FiniteThread) -> RegularThread:
@@ -222,20 +209,6 @@ def project(thread: RegularThread, depth: int) -> FiniteThread:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     return _projector(thread, _hash_consing())(depth)
-
-
-def projective_sequence(thread: RegularThread) -> Iterator[FiniteThread]:
-    """The infinite sequence of approximations, starting with depth 0 (always D)."""
-    at = _projector(thread, _hash_consing())
-    depth = 0
-    while True:
-        yield at(depth)
-        depth += 1
-
-
-def project_term(term: FiniteThread, depth: int) -> FiniteThread:
-    """Projection on finite terms: the projection of the term's graph form."""
-    return project(thread_from_term(term), depth)
 
 
 def _label_class(label: StateLabel):

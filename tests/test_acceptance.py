@@ -24,13 +24,13 @@ from pglb import (
     PartialBooleanFunction,
     Post,
     PostNode,
+    REG_D,
     RegularThread,
     Reply,
     S_MINUS,
     S_PLUS,
     ServiceFamily,
     TAU,
-    action_prefix,
     bisimilar,
     boolean_register,
     brute_sat,
@@ -44,11 +44,8 @@ from pglb import (
     equivalence_check,
     eval_circuit,
     extract,
-    foci_used,
     format_truth_table,
     gen_3sat,
-    is_loop_free,
-    length,
     parse,
     parse_truth_table,
     project,
@@ -59,7 +56,7 @@ from pglb import (
     use_apply,
 )
 from pglb.cli import main as cli_main
-from thelpers import random_family, random_thread
+from thelpers import leaf, program_foci, random_family, random_thread
 
 ALL_VALUES = (Reply.T, Reply.F, Reply.D)
 
@@ -102,11 +99,11 @@ def test_criterion_1_loop_program_extraction():
         )
         assert bisimilar(thread, two_state)
         assert project(thread, 0) == DEADLOCK
-        assert project(thread, 1) == action_prefix(a, DEADLOCK)
-        assert project(thread, 2) == action_prefix(a, action_prefix(b, DEADLOCK))
-        assert project(thread, 3) == action_prefix(
-            a, Post(b, action_prefix(c, DEADLOCK), action_prefix(d, DEADLOCK))
-        )
+        assert project(thread, 1) == Post(a, DEADLOCK, DEADLOCK)
+        b_then_d = Post(b, DEADLOCK, DEADLOCK)
+        assert project(thread, 2) == Post(a, b_then_d, b_then_d)
+        b_branches = Post(b, Post(c, DEADLOCK, DEADLOCK), Post(d, DEADLOCK, DEADLOCK))
+        assert project(thread, 3) == Post(a, b_branches, b_branches)
 
 
 def test_criterion_2_register_equality_programs():
@@ -146,9 +143,9 @@ def test_criterion_3_truth_table_compiler():
             for entries in itertools.product((True, False, None), repeat=2**arity):
                 fn = PartialBooleanFunction(arity, entries)
                 program = compile_truth_table(fn)
-                assert length(program) == 3 * 2**arity - 2
-                assert is_loop_free(program)
-                assert all(f.kind == "in" for f in foci_used(program))
+                assert len(program) == 3 * 2**arity - 2
+                assert program.compiled.acyclic
+                assert all(f.kind == "in" for f in program_foci(program))
                 assert equivalence_check(program, fn, 0).ok
                 checked += 1
         # Every partial Boolean function of arity at most 3.
@@ -159,9 +156,9 @@ def test_criterion_3_truth_table_compiler():
             entries = tuple(rng.choice((True, False, None)) for _ in range(16))
             fn = PartialBooleanFunction(4, entries)
             program = compile_truth_table(fn)
-            assert length(program) == 3 * 2**4 - 2
-            assert is_loop_free(program)
-            assert all(f.kind == "in" for f in foci_used(program))
+            assert len(program) == 3 * 2**4 - 2
+            assert program.compiled.acyclic
+            assert all(f.kind == "in" for f in program_foci(program))
             assert equivalence_check(program, fn, 0).ok
 
 
@@ -192,8 +189,8 @@ def test_criterion_4_circuit_compiler():
                 gates.append(Gate(op, operand()) if op == NOT else Gate(op, operand(), operand()))
             circuit = Circuit(inputs, tuple(gates))
             program = compile_circuit(circuit)
-            assert is_loop_free(program)
-            assert length(program) <= 4 * count + 3
+            assert program.compiled.acyclic
+            assert len(program) <= 4 * count + 3
             table = PartialBooleanFunction.from_callable(
                 inputs, lambda bits: eval_circuit(circuit, bits)
             )
@@ -213,7 +210,7 @@ def _sat_outcomes(k: int, encodings) -> None:
 def test_criterion_5_sat_generator():
     with criterion(5, "backward-jump satisfiability generator", 120.0):
         for k in range(1, 6):
-            assert length(gen_3sat(k)) == 72 * k**3 + 5 * k + 1
+            assert len(gen_3sat(k)) == 72 * k**3 + 5 * k + 1
 
         _sat_outcomes(
             1, (tuple(bool(raw >> i & 1) for i in range(8)) for raw in range(256))
@@ -232,8 +229,8 @@ def test_criterion_6_length_explosion():
     with criterion(6, "length explosion: table program vs jump program", 60.0):
         table_program = compile_3sat_loopfree(1)
         jump_program = gen_3sat(1)
-        assert length(table_program) == 766 == 3 * 2**8 - 2
-        assert length(jump_program) == 78
+        assert len(table_program) == 766 == 3 * 2**8 - 2
+        assert len(jump_program) == 78
 
         table_thread = extract(table_program)
         use_fam, _ = register_family((), 1)
@@ -261,7 +258,7 @@ def test_criterion_7_algebraic_laws():
     with criterion(7, "service-family and interaction laws", 30.0):
         rng = random.Random(1007)
         foci = tuple(Focus.named(n) for n in ("p", "q", "r", "s"))
-        empty = ServiceFamily.empty()
+        empty = ServiceFamily()
         for _ in range(1000):
             u, v, w = (random_family(rng, foci) for _ in range(3))
             hidden = {f for f in foci if rng.random() < 0.4}
@@ -270,10 +267,10 @@ def test_criterion_7_algebraic_laws():
             assert compose(u, empty) == u  # empty family is the unit
             assert compose(u, v) == compose(v, u)  # commutative
             assert compose(compose(u, v), w) == compose(u, compose(v, w))  # associative
-            collapsed = compose(ServiceFamily.singleton(f, s1), ServiceFamily.singleton(f, s2))
-            assert collapsed.get(f).is_empty()  # name clash collapses
+            collapsed = compose(ServiceFamily({f: s1}), ServiceFamily({f: s2}))
+            assert collapsed.get(f) == REG_D  # name clash collapses
             assert encapsulate(hidden, empty) == empty
-            single = ServiceFamily.singleton(f, s1)
+            single = ServiceFamily({f: s1})
             if f in hidden:
                 assert encapsulate(hidden, single) == empty  # hidden focus removed
             else:
@@ -286,12 +283,12 @@ def test_criterion_7_algebraic_laws():
             fam = random_family(rng)
             inner = random_thread(rng)
             # Terminal threads are fixed points of use; their replies are fixed.
-            assert use_apply(RegularThread.terminated(True), fam) == RegularThread.terminated(True)
-            assert use_apply(RegularThread.terminated(False), fam) == RegularThread.terminated(False)
-            assert use_apply(RegularThread.deadlocked(), fam) == RegularThread.deadlocked()
-            assert reply(RegularThread.terminated(True), fam) is Reply.T
-            assert reply(RegularThread.terminated(False), fam) is Reply.F
-            assert reply(RegularThread.deadlocked(), fam) is Reply.D
+            assert use_apply(leaf(S_PLUS), fam) == leaf(S_PLUS)
+            assert use_apply(leaf(S_MINUS), fam) == leaf(S_MINUS)
+            assert use_apply(leaf(DEADLOCK), fam) == leaf(DEADLOCK)
+            assert reply(leaf(S_PLUS), fam) is Reply.T
+            assert reply(leaf(S_MINUS), fam) is Reply.F
+            assert reply(leaf(DEADLOCK), fam) is Reply.D
             # Internal steps pass through use and are transparent to reply.
             shifted = tuple(
                 PostNode(l.action, l.then_state + 1, l.else_state + 1)
@@ -323,14 +320,14 @@ def test_criterion_7_algebraic_laws():
         from pglb import GET, SET_F, SET_T
 
         methods = (GET, SET_T, SET_F, "unknown")
-        keys = {boolean_register(v).state_key() for v in ALL_VALUES}
+        registers = {boolean_register(v) for v in ALL_VALUES}
         for value in ALL_VALUES:
             register = boolean_register(value)
             for method in methods:
                 derived = register.derive(method)
-                assert derived.state_key() in keys
+                assert derived in registers
                 if register.reply(method) is Reply.D:
-                    assert derived.is_empty()
+                    assert derived == REG_D
                     assert all(derived.reply(m) is Reply.D for m in methods)
 
 

@@ -240,6 +240,8 @@ def test_a_huge_table_header_is_a_parse_error(tmp_path, capsys):
 # in exit 0, 2 or 3, never 4; a refusal prints nothing to stdout.
 AUX_READER = "+in:1.get; +aux:1.get; !t; !f\n"
 AUX_WRITER = "aux:1.set:f; +in:1.get; !t; !f\n"
+AUX_AT = "+aux:{0}.set:f; +aux:{0}.get; !t; !f\n"  # sets aux register {0} to f and reads it back
+BIG_INDEX = "1" + "0" * 10
 OVERSIZED = [
     pytest.param(["gen", "3sat", "-k", "20"], None, 3, "", id="gen-k20"),  # 576,101 instructions
     pytest.param(["gen", "3sat", "-k", "64"], None, 3, "", id="gen-k64"),
@@ -259,6 +261,13 @@ OVERSIZED = [
     # A register write sends verify to one walk per input.
     pytest.param(["verify", "{file}", "--tt", "{table}", "--aux", "1" + "0" * 20], AUX_WRITER, 0,
                  "equivalent on all 2 inputs\n", id="verify-aux1e20"),
+    # A large aux index costs no more than a small one: registers are numbered by rank.
+    pytest.param(["run", "{file}", "--aux", BIG_INDEX], AUX_AT.format(BIG_INDEX), 0, "f\n", id="run-aux-index1e10"),
+    pytest.param(["run", "{file}", "--aux", "1" + "0" * 28], AUX_AT.format("1" + "0" * 28), 0, "f\n",
+                 id="run-aux-index-29-digits"),
+    pytest.param(["verify", "{file}", "--tt", "{table}", "--aux", BIG_INDEX],
+                 AUX_WRITER.replace("aux:1", f"aux:{BIG_INDEX}"), 0, "equivalent on all 2 inputs\n",
+                 id="verify-aux-index1e10"),
     pytest.param(["project", "{file}", "-n", "100000000"], "a; \\#1\n", 3, "", id="project-n1e8"),
 ]
 

@@ -50,7 +50,7 @@ from pglb import (
 )
 from pglb.extraction import BANK_AUX, M_SET_F, M_SET_T, compile_program
 from pglb.interaction import DEFAULT_STATE_CAP, reply_sets, walk
-from thelpers import reference_compile_program
+from thelpers import loop_free, reference_compile_program
 
 FOCI = (
     [Focus.input(i) for i in range(1, 5)]
@@ -160,21 +160,22 @@ def test_compile_program_matches_the_reference(program):
             reference = reference_compile_program(sequence, start)
             assert where(compiled.entry(start)) == reference["position"][reference["root"]]
         position = reference["position"]
+        # An aux row holds its index's rank among the aux indices above 0 the program names.
+        named = sorted({i for b, i in zip(reference["bank"], reference["index"]) if b == BANK_AUX and i > 0})
+        assert compiled.aux_named == tuple(named)
         for state, p in enumerate(position[:-2]):
             kind, bank, index, method, action, on_t, on_f = rows[p]
-            assert (kind, bank, index, method, action) == tuple(
-                reference[name][state] for name in ("kind", "bank", "index", "method", "action")
-            )
+            expected = [reference[name][state] for name in ("kind", "bank", "index", "method", "action")]
+            if expected[1] == BANK_AUX and expected[2] > 0:
+                expected[2] = named.index(expected[2]) + 1
+            assert (kind, bank, index, method, action) == tuple(expected)
             assert where(landing[p + on_t]) == position[reference["then_state"][state]]
             assert where(landing[p + on_f]) == position[reference["else_state"][state]]
         assert compiled.states == reference["exit_state"]
-        assert compiled.aux_top == max(
-            (i for b, i in zip(reference["bank"], reference["index"]) if b == BANK_AUX), default=0
-        )
         assert compiled.written == {
             b for b, m in zip(reference["bank"], reference["method"]) if m in (M_SET_T, M_SET_F)
         }
-        assert compiled.acyclic is not any(isinstance(u, BwdJump) for u in sequence)
+        assert compiled.acyclic is loop_free(sequence)
 
 
 loop_free_programs = st.lists(

@@ -17,30 +17,30 @@ from pglb import (
     parse,
     project,
 )
-from thelpers import random_sequence
+from thelpers import leaf, loop_free, random_sequence
 
 A = Action("a")
 
 
 def test_termination_positions():
-    assert extract_at(parse("!t"), 1) == RegularThread.terminated(True)
-    assert extract_at(parse("!f"), 1) == RegularThread.terminated(False)
+    assert extract_at(parse("!t"), 1) == leaf(S_PLUS)
+    assert extract_at(parse("!f"), 1) == leaf(S_MINUS)
 
 
 def test_out_of_range_positions_deadlock():
     seq = parse("a; !t")
-    assert extract_at(seq, 0) == RegularThread.deadlocked()
-    assert extract_at(seq, 3) == RegularThread.deadlocked()
+    assert extract_at(seq, 0) == leaf(DEADLOCK)
+    assert extract_at(seq, 3) == leaf(DEADLOCK)
 
 
 def test_self_jump_deadlocks():
-    assert extract_at(parse("#0"), 1) == RegularThread.deadlocked()
+    assert extract_at(parse("#0"), 1) == leaf(DEADLOCK)
 
 
 def test_backward_jump_out_of_range_deadlocks():
     # A backward jump at least as long as its position leaves the program.
-    assert extract(parse(r"\#1")) == RegularThread.deadlocked()
-    assert extract(parse(r"\#7; !t")) == RegularThread.deadlocked()
+    assert extract(parse(r"\#1")) == leaf(DEADLOCK)
+    assert extract(parse(r"\#7; !t")) == leaf(DEADLOCK)
 
 
 def test_test_instruction_with_missing_continuations():
@@ -110,12 +110,10 @@ def test_jump_transparency():
 
 def test_loop_free_projection_stabilises_at_length():
     rng = random.Random(12)
-    from pglb import is_loop_free
-
     checked = 0
     while checked < 60:
         seq = random_sequence(rng, max_len=6)
-        if not is_loop_free(seq):
+        if not loop_free(seq):
             continue
         thread = extract(seq)
         size = len(seq)

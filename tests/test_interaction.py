@@ -29,7 +29,7 @@ from pglb import (
 )
 from pglb.extraction import compile_program
 from pglb.interaction import walk
-from thelpers import random_family, random_thread, walk_terminal
+from thelpers import leaf, random_family, random_thread, walk_terminal
 
 EQ_1_2 = parse(r"+1.get; #2; #4; +2.get; !t; !f; -2.get; \#3; \#3")
 EQUALS_1_2_3 = parse(
@@ -54,9 +54,9 @@ def _prefixed(action: Action, thread: RegularThread) -> RegularThread:
 
 def test_use_leaves_terminals_alone():
     rng = random.Random(31)
-    for leaf in (RegularThread.terminated(True), RegularThread.terminated(False), RegularThread.deadlocked()):
+    for terminal in (leaf(S_PLUS), leaf(S_MINUS), leaf(DEADLOCK)):
         for _ in range(10):
-            assert use_apply(leaf, random_family(rng)) == leaf
+            assert use_apply(terminal, random_family(rng)) == terminal
 
 
 def test_use_passes_internal_steps_through():
@@ -70,7 +70,7 @@ def test_use_passes_internal_steps_through():
 
 def test_use_ignores_absent_foci():
     thread = extract(parse("+x.get; !t; !f"))
-    used = use_apply(thread, ServiceFamily.empty())
+    used = use_apply(thread, ServiceFamily())
     assert bisimilar(used, thread)
     root = used.states[used.root]
     assert isinstance(root, PostNode) and str(root.action) == "x.get"
@@ -105,9 +105,9 @@ def test_reply_terminals():
     rng = random.Random(33)
     for _ in range(10):
         family = random_family(rng)
-        assert reply(RegularThread.terminated(True), family) is Reply.T
-        assert reply(RegularThread.terminated(False), family) is Reply.F
-        assert reply(RegularThread.deadlocked(), family) is Reply.D
+        assert reply(leaf(S_PLUS), family) is Reply.T
+        assert reply(leaf(S_MINUS), family) is Reply.F
+        assert reply(leaf(DEADLOCK), family) is Reply.D
 
 
 def test_reply_is_transparent_over_internal_steps():
@@ -120,7 +120,7 @@ def test_reply_is_transparent_over_internal_steps():
 
 def test_reply_without_matching_service_is_divergent():
     thread = extract(parse("+p.get; !t; !f"))
-    assert reply(thread, ServiceFamily.empty()) is Reply.D
+    assert reply(thread, ServiceFamily()) is Reply.D
     assert reply(thread, _named_family({"q": Reply.T})) is Reply.D
 
 
@@ -225,7 +225,7 @@ def test_use_respects_state_cap():
     with pytest.raises(StateSpaceCapExceeded):
         use_apply(thread, family, max_states=1)
     # Generous cap: fine, and the loop never terminates.
-    assert reply(use_apply(thread, family, max_states=100), ServiceFamily.empty()) is Reply.D
+    assert reply(use_apply(thread, family, max_states=100), ServiceFamily()) is Reply.D
 
 
 def test_trace_of_trivial_program():

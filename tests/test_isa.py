@@ -18,19 +18,16 @@ from pglb import (
     PosTest,
     TERM_F,
     TERM_T,
-    foci_used,
-    is_loop_free,
-    length,
     parse,
     render,
 )
-from thelpers import random_sequence
+from thelpers import program_foci, random_sequence
 
 EXAMPLE_LOOP = r"a; +b; #2; #3; c; \#4; +d; !t; !f"
 
 
 def test_parse_single_termination():
-    assert parse("!t") == InstructionSequence.of(TERM_T)
+    assert parse("!t") == InstructionSequence((TERM_T,))
 
 
 def test_parse_nine_instruction_loop_program():
@@ -72,7 +69,7 @@ def test_parse_newlines_and_comments():
 
 
 def test_render_examples():
-    assert render(InstructionSequence.of(TERM_T)) == "!t"
+    assert render(InstructionSequence((TERM_T,))) == "!t"
     assert render(parse(EXAMPLE_LOOP)) == EXAMPLE_LOOP
     assert render(parse(r"a; \#1")) == r"a; \#1"
 
@@ -102,8 +99,8 @@ def test_parse_rejects_bad_foci():
 
 
 def test_length():
-    assert length(parse(EXAMPLE_LOOP)) == 9
-    assert length(InstructionSequence.of(TERM_T)) == 1
+    assert len(parse(EXAMPLE_LOOP)) == 9
+    assert len(InstructionSequence((TERM_T,))) == 1
 
 
 def test_concatenation_adds_lengths():
@@ -112,22 +109,22 @@ def test_concatenation_adds_lengths():
         left = random_sequence(rng)
         right = random_sequence(rng)
         combined = left + right
-        assert length(combined) == length(left) + length(right)
+        assert len(combined) == len(left) + len(right)
         assert combined.instructions == left.instructions + right.instructions
 
 
 def test_is_loop_free():
-    assert not is_loop_free(parse(r"a; \#1"))
-    assert is_loop_free(parse("!t"))
-    assert is_loop_free(parse("a; #2; +b; !f"))
+    assert not parse(r"a; \#1").compiled.acyclic
+    assert parse("!t").compiled.acyclic
+    assert parse("a; #2; +b; !f").compiled.acyclic
 
 
 def test_foci_used():
-    assert foci_used(parse("!t")) == set()
+    assert program_foci(parse("!t")) == set()
     eq = parse(r"+1.get; #2; #4; +2.get; !t; !f; -2.get; \#3; \#3")
-    assert foci_used(eq) == {Focus.named("1"), Focus.named("2")}
+    assert program_foci(eq) == {Focus.named("1"), Focus.named("2")}
     mixed = parse("in:2.get; -aux:1.set:t; b")
-    assert foci_used(mixed) == {Focus.input(2), Focus.aux(1)}
+    assert program_foci(mixed) == {Focus.input(2), Focus.aux(1)}
 
 
 def _exhaustive_alphabet():

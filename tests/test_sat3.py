@@ -22,9 +22,7 @@ from pglb import (
     decode,
     encode_cnf,
     encoding_to_text,
-    foci_used,
     gen_3sat,
-    length,
     next_snippet,
     parse_dimacs,
     parse_encoding,
@@ -33,6 +31,7 @@ from pglb import (
     render,
     trace,
 )
+from thelpers import program_foci
 
 
 def random_formula(rng: random.Random, k: int, clauses: int) -> CnfFormula:
@@ -155,8 +154,8 @@ def test_check_snippet_shapes():
     assert render(all_negative) == "-aux:2.get; #2; -aux:3.get; #2; -aux:1.get"
     for pattern in range(1, 9):
         snippet = check_snippet(ClauseShape(1, 2, 3, pattern))
-        assert length(snippet) == 5
-        assert all(f.kind == "aux" for f in foci_used(snippet))
+        assert len(snippet) == 5
+        assert all(f.kind == "aux" for f in program_foci(snippet))
 
 
 def test_next_snippet_shape():
@@ -164,11 +163,11 @@ def test_next_snippet_shape():
         "-aux:1.get; #3; aux:1.set:f; #3; aux:1.set:t; !f"
     )
     two = next_snippet(2)
-    assert length(two) == 11
+    assert len(two) == 11
     assert render(two).startswith("-aux:1.get; #3; aux:1.set:f; #5; aux:1.set:t; ")
     assert render(two).endswith("-aux:2.get; #3; aux:2.set:f; #3; aux:2.set:t; !f")
     for k in (1, 2, 3, 7):
-        assert length(next_snippet(k)) == 5 * k + 1
+        assert len(next_snippet(k)) == 5 * k + 1
 
 
 def test_trace_shows_both_assignments_for_one_variable_contradiction():
@@ -216,7 +215,7 @@ def test_generator_enumerates_all_assignments():
 
 def test_generator_length_formula():
     for k in range(1, 6):
-        assert length(gen_3sat(k)) == 72 * k**3 + 5 * k + 1
+        assert len(gen_3sat(k)) == 72 * k**3 + 5 * k + 1
 
 
 def test_generator_structure():
@@ -224,15 +223,15 @@ def test_generator_structure():
         prog = gen_3sat(k)
         backward = [u for u in prog if isinstance(u, BwdJump)]
         assert len(backward) == 1
-        assert prog.at(len(prog)) == BwdJump(72 * k**3 + 5 * k)
+        assert prog.instructions[-1] == BwdJump(72 * k**3 + 5 * k)
         # The jump lands back on the first instruction.
         assert len(prog) - backward[0].offset == 1
         # Checking section: 9 instructions per clause except 8 for the last.
         check_section = 9 * (clause_count(k) - 1) + 8
         assert check_section == 72 * k**3 - 1
-        assert prog.at(check_section) == TERM_T
-        assert prog.at(check_section + 5 * k + 1) == TERM_F
-        used = foci_used(prog)
+        assert prog.instructions[check_section - 1] == TERM_T
+        assert prog.instructions[check_section + 5 * k] == TERM_F
+        used = program_foci(prog)
         assert {f for f in used if f.kind == "in"} == {
             Focus.input(i) for i in range(1, clause_count(k) + 1)
         }

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from pglb import (
-    EMPTY,
     Focus,
     GET,
     REG_D,
@@ -49,7 +48,7 @@ def test_register_replies():
 
 def test_unknown_methods_are_rejected():
     assert REG_T.reply("push") is Reply.D
-    assert REG_T.derive("push").is_empty()
+    assert REG_T.derive("push") == REG_D
 
 
 def test_sink_condition_holds_exhaustively():
@@ -60,51 +59,52 @@ def test_sink_condition_holds_exhaustively():
         for method in ALL_METHODS + ("weird",):
             if register.reply(method) is Reply.D:
                 sink = register.derive(method)
-                assert sink.is_empty()
+                assert sink == REG_D
                 assert all(sink.reply(m) is Reply.D for m in ALL_METHODS + ("other",))
-                assert all(sink.derive(m).is_empty() for m in ALL_METHODS)
+                assert all(sink.derive(m) == REG_D for m in ALL_METHODS)
 
 
 def test_register_set_is_closed_under_derivation():
-    universe = {boolean_register(v).state_key() for v in ALL_VALUES}
+    universe = {boolean_register(v) for v in ALL_VALUES}
     for value in ALL_VALUES:
         for method in ALL_METHODS + ("weird",):
-            assert boolean_register(value).derive(method).state_key() in universe
+            assert boolean_register(value).derive(method) in universe
 
 
 def test_divergent_register_equals_empty_service():
-    assert ServiceFamily.singleton(Focus.input(1), REG_D) == ServiceFamily.singleton(
-        Focus.input(1), EMPTY
-    )
+    # REG_D is the empty service: it rejects every method and stays itself.
+    assert boolean_register(Reply.D) is REG_D
+    for method in ALL_METHODS + ("push",):
+        assert REG_D.reply(method) is Reply.D and REG_D.derive(method) is REG_D
 
 
 def test_compose_with_empty_family_is_identity():
     rng = random.Random(21)
     for _ in range(100):
         family = random_family(rng)
-        assert compose(family, ServiceFamily.empty()) == family
-        assert compose(ServiceFamily.empty(), family) == family
+        assert compose(family, ServiceFamily()) == family
+        assert compose(ServiceFamily(), family) == family
 
 
 def test_compose_clash_collapses_to_empty_service():
     focus = Focus.named("p")
     collapsed = compose(
-        ServiceFamily.singleton(focus, REG_T), ServiceFamily.singleton(focus, REG_F)
+        ServiceFamily({focus: REG_T}), ServiceFamily({focus: REG_F})
     )
-    assert collapsed == ServiceFamily.singleton(focus, EMPTY)
+    assert collapsed == ServiceFamily({focus: REG_D})
     # Even two copies of the same service collapse.
-    same = compose(ServiceFamily.singleton(focus, REG_T), ServiceFamily.singleton(focus, REG_T))
-    assert same == ServiceFamily.singleton(focus, EMPTY)
+    same = compose(ServiceFamily({focus: REG_T}), ServiceFamily({focus: REG_T}))
+    assert same == ServiceFamily({focus: REG_D})
 
 
 def test_compose_disjoint_union():
     family = compose(
-        ServiceFamily.singleton(Focus.named("1"), REG_T),
-        ServiceFamily.singleton(Focus.named("2"), REG_F),
+        ServiceFamily({Focus.named("1"): REG_T}),
+        ServiceFamily({Focus.named("2"): REG_F}),
     )
     assert family.get(Focus.named("1")) == REG_T
     assert family.get(Focus.named("2")) == REG_F
-    assert len(family) == 2
+    assert set(family) == {Focus.named("1"), Focus.named("2")}
 
 
 def test_compose_commutative_and_associative():
@@ -117,12 +117,12 @@ def test_compose_commutative_and_associative():
 
 def test_encapsulate_axioms():
     rng = random.Random(23)
-    assert encapsulate({Focus.named("p")}, ServiceFamily.empty()) == ServiceFamily.empty()
+    assert encapsulate({Focus.named("p")}, ServiceFamily()) == ServiceFamily()
     focus = Focus.named("p")
-    assert encapsulate({focus}, ServiceFamily.singleton(focus, REG_T)) == ServiceFamily.empty()
+    assert encapsulate({focus}, ServiceFamily({focus: REG_T})) == ServiceFamily()
     assert encapsulate(
-        {Focus.named("q")}, ServiceFamily.singleton(focus, REG_T)
-    ) == ServiceFamily.singleton(focus, REG_T)
+        {Focus.named("q")}, ServiceFamily({focus: REG_T})
+    ) == ServiceFamily({focus: REG_T})
     for _ in range(100):
         u, v = random_family(rng), random_family(rng)
         hidden = {f for f in TEST_FOCI if rng.random() < 0.5}
@@ -134,28 +134,28 @@ def test_encapsulate_axioms():
 
 def test_encapsulate_drops_only_named_foci():
     family = compose(
-        ServiceFamily.singleton(Focus.named("1"), REG_T),
-        ServiceFamily.singleton(Focus.named("2"), REG_F),
+        ServiceFamily({Focus.named("1"): REG_T}),
+        ServiceFamily({Focus.named("2"): REG_F}),
     )
     remaining = encapsulate({Focus.named("1")}, family)
-    assert remaining == ServiceFamily.singleton(Focus.named("2"), REG_F)
+    assert remaining == ServiceFamily({Focus.named("2"): REG_F})
 
 
 def test_register_family_builds_both_register_files():
     use, rep = register_family([True, False], 0)
-    assert len(use) == 0
+    assert use == ServiceFamily()
     assert rep.get(Focus.input(1)) == REG_T
     assert rep.get(Focus.input(2)) == REG_F
 
     use, rep = register_family([], 2)
-    assert len(rep) == 0
+    assert rep == ServiceFamily()
     assert use.get(Focus.aux(1)) == REG_T
     assert use.get(Focus.aux(2)) == REG_T
 
 
 def test_register_family_accepts_divergent_inputs():
     _, rep = register_family([Reply.D], 0)
-    assert rep == ServiceFamily.singleton(Focus.input(1), EMPTY)
+    assert rep == ServiceFamily({Focus.input(1): REG_D})
 
 
 def test_register_family_rejects_negative_aux():
@@ -166,11 +166,11 @@ def test_register_family_rejects_negative_aux():
 def test_family_signature_is_order_independent():
     a = ServiceFamily({Focus.named("p"): REG_T, Focus.named("q"): REG_F})
     b = ServiceFamily({Focus.named("q"): REG_F, Focus.named("p"): REG_T})
-    assert a == b and a.signature() == b.signature()
+    assert a == b and a.pairs == b.pairs and hash(a) == hash(b)
 
 
 def test_replaced_preserves_identity_for_noop_updates():
-    family = ServiceFamily.singleton(Focus.named("p"), REG_T)
+    family = ServiceFamily({Focus.named("p"): REG_T})
     register = family.get(Focus.named("p"))
     assert family.replaced(Focus.named("p"), register) is family
     assert family.replaced(Focus.named("p"), REG_F) is not family

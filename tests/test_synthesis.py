@@ -25,16 +25,14 @@ from pglb import (
     compute,
     equivalence_check,
     eval_circuit,
-    foci_used,
     format_netlist,
     format_truth_table,
     gen_3sat,
-    is_loop_free,
-    length,
     parse_netlist,
     parse_truth_table,
     render,
 )
+from thelpers import program_foci
 
 
 def random_circuit(rng: random.Random, max_inputs: int = 6, max_gates: int = 10) -> Circuit:
@@ -67,7 +65,7 @@ def test_identity_table_compiles_to_expected_program():
     identity = PartialBooleanFunction.from_callable(1, lambda bs: bs[0])
     prog = compile_truth_table(identity)
     assert render(prog) == "-in:1.get; #2; !t; !f"
-    assert length(prog) == 4
+    assert len(prog) == 4
     assert compute(prog, [True], 0).value == "t"
     assert compute(prog, [False], 0).value == "f"
 
@@ -76,9 +74,9 @@ def test_truth_table_compiler_exhaustive_to_arity_two():
     for arity in (0, 1, 2):
         for fn in all_tables(arity):
             prog = compile_truth_table(fn)
-            assert length(prog) == 3 * 2**arity - 2
-            assert is_loop_free(prog)
-            assert all(f.kind == "in" for f in foci_used(prog))
+            assert len(prog) == 3 * 2**arity - 2
+            assert prog.compiled.acyclic
+            assert all(f.kind == "in" for f in program_foci(prog))
             assert equivalence_check(prog, fn, 0).ok
 
 
@@ -89,8 +87,8 @@ def test_truth_table_compiler_sampled_higher_arities():
             entries = tuple(rng.choice((True, False, None)) for _ in range(2**arity))
             fn = PartialBooleanFunction(arity, entries)
             prog = compile_truth_table(fn)
-            assert length(prog) == 3 * 2**arity - 2
-            assert is_loop_free(prog)
+            assert len(prog) == 3 * 2**arity - 2
+            assert prog.compiled.acyclic
             assert equivalence_check(prog, fn, 0).ok
 
 
@@ -99,7 +97,7 @@ def test_branch_jump_lands_on_second_restriction():
     for arity in (1, 2, 3, 5):
         entries = tuple(rng.choice((True, False, None)) for _ in range(2**arity))
         prog = compile_truth_table(PartialBooleanFunction(arity, entries))
-        jump = prog.at(2)
+        jump = prog.instructions[1]
         assert isinstance(jump, FwdJump)
         landing = 2 + jump.offset
         assert landing == 3 * 2 ** (arity - 1) + 1
@@ -133,9 +131,9 @@ def test_circuit_compiler_against_direct_evaluation():
         circuit = random_circuit(rng)
         prog = compile_circuit(circuit)
         n = len(circuit.gates)
-        assert is_loop_free(prog)
-        assert length(prog) <= 4 * n + 3
-        aux_foci = {f for f in foci_used(prog) if f.kind == "aux"}
+        assert prog.compiled.acyclic
+        assert len(prog) <= 4 * n + 3
+        aux_foci = {f for f in program_foci(prog) if f.kind == "aux"}
         assert aux_foci == {Focus.aux(j) for j in range(1, n + 1)}
         table = PartialBooleanFunction.from_callable(
             circuit.input_count, lambda bits: eval_circuit(circuit, bits)
@@ -158,8 +156,8 @@ def test_circuit_validation():
 
 def test_loopfree_sat_table_has_exact_length():
     prog = compile_3sat_loopfree(1)
-    assert length(prog) == 3 * 2**8 - 2 == 766
-    assert is_loop_free(prog)
+    assert len(prog) == 3 * 2**8 - 2 == 766
+    assert prog.compiled.acyclic
 
 
 def test_loopfree_sat_agrees_with_jump_generator():

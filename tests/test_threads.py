@@ -13,17 +13,15 @@ from pglb import (
     RegularThread,
     S_MINUS,
     S_PLUS,
-    action_prefix,
     aip_equal,
     bisimilar,
     project,
-    project_term,
     render_term,
     thread_equations,
     thread_from_term,
     thread_to_dot,
 )
-from thelpers import duplicate_state, permute_states, random_thread, reference_bisimilar
+from thelpers import duplicate_state, leaf, permute_states, random_thread, reference_bisimilar
 
 A, B, C, D_ACT = Action("a"), Action("b"), Action("c"), Action("d")
 
@@ -49,22 +47,11 @@ def test_projection_depth_zero_is_deadlock():
 
 
 def test_projection_of_loop_graph_matches_hand_expansion():
-    assert project(LOOP_GRAPH, 1) == action_prefix(A, DEADLOCK)
-    assert project(LOOP_GRAPH, 2) == action_prefix(A, action_prefix(B, DEADLOCK))
-    expected_3 = action_prefix(
-        A, Post(B, action_prefix(C, DEADLOCK), action_prefix(D_ACT, DEADLOCK))
-    )
-    assert project(LOOP_GRAPH, 3) == expected_3
-
-
-def test_projective_sequence_yields_successive_approximations():
-    from itertools import islice
-
-    from pglb import projective_sequence
-
-    approximations = list(islice(projective_sequence(LOOP_GRAPH), 4))
-    assert approximations == [project(LOOP_GRAPH, n) for n in range(4)]
-    assert approximations[0] == DEADLOCK
+    assert project(LOOP_GRAPH, 1) == Post(A, DEADLOCK, DEADLOCK)
+    b_then_d = Post(B, DEADLOCK, DEADLOCK)
+    assert project(LOOP_GRAPH, 2) == Post(A, b_then_d, b_then_d)
+    b_branches = Post(B, Post(C, DEADLOCK, DEADLOCK), Post(D_ACT, DEADLOCK, DEADLOCK))
+    assert project(LOOP_GRAPH, 3) == Post(A, b_branches, b_branches)
 
 
 def test_projection_composes_via_minimum():
@@ -72,16 +59,16 @@ def test_projection_composes_via_minimum():
     for _ in range(50):
         thread = random_thread(rng)
         m, n = rng.randrange(8), rng.randrange(8)
-        assert project_term(project(thread, m), n) == project(thread, min(m, n))
+        assert project(thread_from_term(project(thread, m)), n) == project(thread, min(m, n))
 
 
 def test_bisimilar_identity_and_unrolling():
-    dead = RegularThread.deadlocked()
+    dead = leaf(DEADLOCK)
     assert bisimilar(dead, dead)
     one_state = RegularThread((PostNode(A, 0, 0),), 0)
     two_state = RegularThread((PostNode(A, 1, 1), PostNode(A, 0, 0)), 0)
     assert bisimilar(one_state, two_state)
-    assert not bisimilar(one_state, RegularThread.terminated(True))
+    assert not bisimilar(one_state, leaf(S_PLUS))
 
 
 def test_bisimilar_distinguishes_branch_roles():
@@ -154,7 +141,7 @@ def test_aip_witness_bound_agrees_with_bisimilarity():
 
 
 def test_thread_from_term_round_trips_behaviour():
-    term = Post(A, action_prefix(B, S_PLUS), S_MINUS)
+    term = Post(A, Post(B, S_PLUS, S_PLUS), S_MINUS)
     thread = thread_from_term(term)
     assert project(thread, 5) == term
     assert bisimilar(thread, thread_from_term(term))
@@ -162,8 +149,10 @@ def test_thread_from_term_round_trips_behaviour():
 
 def test_render_term_spells_prefix_and_branches():
     assert render_term(S_PLUS) == "S+"
-    assert render_term(action_prefix(A, action_prefix(B, DEADLOCK))) == "a ∘ b ∘ D"
-    nested = action_prefix(A, Post(B, S_PLUS, S_MINUS))
+    b_then_d = Post(B, DEADLOCK, DEADLOCK)
+    assert render_term(Post(A, b_then_d, b_then_d)) == "a ∘ b ∘ D"
+    branches = Post(B, S_PLUS, S_MINUS)
+    nested = Post(A, branches, branches)
     assert render_term(nested) == "a ∘ (S+ ⊴ b ⊵ S-)"
 
 
@@ -176,7 +165,7 @@ def test_equations_name_loop_states_only():
 
 
 def test_equations_for_leaf_root():
-    assert thread_equations(RegularThread.terminated(True)) == "E0 = S+"
+    assert thread_equations(leaf(S_PLUS)) == "E0 = S+"
 
 
 def test_dot_export_lists_states_and_edges():
@@ -212,7 +201,7 @@ def test_repeated_projections_leave_no_module_table_larger():
     for _ in range(3):
         assert aip_equal(LOOP_GRAPH, LOOP_GRAPH, 400)
         deep = project(LOOP_GRAPH, 400)
-        project_term(deep, 200)
+        project(thread_from_term(deep), 200)
         thread_from_term(project(LOOP_GRAPH, 30))
     assert _module_table_sizes() == before
 
@@ -222,7 +211,7 @@ def test_deep_terms_project_render_and_compare_without_recursion():
     deep = project(loop, 20_000)
     assert render_term(deep) == "a ∘ " * 20_000 + "D"
     assert deep == project(loop, 20_000) and deep != project(loop, 19_999)
-    assert project_term(deep, 5) == project(loop, 5)
+    assert project(thread_from_term(deep), 5) == project(loop, 5)
     chain = thread_from_term(deep)
     assert len(chain.states) == 20_001 and chain.states[-1] == DEADLOCK
 

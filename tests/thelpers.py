@@ -77,6 +77,21 @@ def random_thread(rng: random.Random, max_states: int = 5, actions=FOCUSED_ACTIO
     return RegularThread(tuple(labels), rng.randrange(size))
 
 
+def leaf(label) -> RegularThread:
+    """The one-state thread of a terminal label: S+, S- or D."""
+    return RegularThread((label,), 0)
+
+
+def loop_free(sequence: InstructionSequence) -> bool:
+    """No backward jump: the reference for ``CompiledProgram.acyclic``."""
+    return not any(isinstance(u, BwdJump) for u in sequence)
+
+
+def program_foci(sequence: InstructionSequence) -> set[Focus]:
+    """The foci of the program's actions, from its compiled form."""
+    return {action.focus for action in sequence.compiled.actions() if action.focus is not None}
+
+
 def random_register(rng: random.Random) -> BooleanRegister:
     return boolean_register(rng.choice((Reply.T, Reply.F, Reply.D)))
 
@@ -147,7 +162,7 @@ def walk_with_taus(thread: RegularThread, family: ServiceFamily) -> tuple[int, s
     taus = 0
     seen = set()
     while True:
-        key = (state, fam.signature())
+        key = (state, fam)
         if key in seen:
             return taus, "D"
         seen.add(key)
