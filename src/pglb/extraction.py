@@ -89,27 +89,41 @@ def _land_jumps(landing: list[int | None], rows: tuple[_RowHead, ...], jumps: li
     0 and the positions past the end; one that returns to one of its jumps
     (an infinite jump chain) lands on ``exit_state + 1``. Forward jumps are
     resolved in one pass from last to first, since their target is resolved
-    by then; backward jumps, and forward chains into one, are followed
-    afterwards with cycle detection. Returns True when no jump is backward.
+    by then. From the last backward jump down, that pass also notes each
+    jump it leaves unresolved: the backward jumps and the forward chains
+    into one. Only those are then followed, with cycle detection. Returns
+    True when no jump is backward.
     """
     cycle_state = exit_state + 1
     end = len(landing) - 1
-    acyclic = True
-    for p in reversed(jumps):
+    down = iter(reversed(jumps))
+    for p in down:
         kind, _, _, _, _, offset, _ = rows[p]
         if kind == _JUMP_BWD:
-            acyclic = False
-            landing[p] = None
-        elif offset == 0:
+            break
+        if offset == 0:
             landing[p] = cycle_state
         else:
             q = p + offset
             landing[p] = landing[q] if q <= end else exit_state
-    if acyclic:
+    else:
         return True
-    # Every jump still unresolved targets a position in 0..size+2. The forward jumps landed
-    # above need no second look.
-    for p in jumps:
+    landing[p] = None
+    unresolved = [p]
+    for p in down:
+        kind, _, _, _, _, offset, _ = rows[p]
+        if kind == _JUMP_BWD:
+            target = None
+        elif offset == 0:
+            target = cycle_state
+        else:
+            q = p + offset
+            target = landing[q] if q <= end else exit_state
+        landing[p] = target
+        if target is None:
+            unresolved.append(p)
+    # Every unresolved jump targets a position in 0..size+2.
+    for p in unresolved:
         if landing[p] is not None:
             continue
         chain: dict[int, None] = {}  # insertion-ordered set of the jumps followed

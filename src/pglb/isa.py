@@ -264,27 +264,63 @@ _TERMINATIONS = {"!t": TERM_T, "!f": TERM_F}
 _BY_SIGN = {"": Basic, "+": PosTest, "-": NegTest}
 
 
+# Builders of a matched token's values that skip the constructors' checks: the pattern has made them.
+# Each sets every field of its class in declaration order, as __init__ does, so instances keep
+# their attribute layout; vars() of a built value equals that of a constructed one.
+_new, _set = object.__new__, object.__setattr__
+
+
+def _matched_focus(kind: str, index: int | None, name: str | None) -> Focus:
+    focus = _new(Focus)
+    _set(focus, "kind", kind)
+    _set(focus, "index", index)
+    _set(focus, "name", name)
+    return focus
+
+
+def _matched_action(name: str, focus: Focus | None) -> Action:
+    action = _new(Action)
+    _set(action, "name", name)
+    _set(action, "focus", focus)
+    return action
+
+
+def _matched_instruction(cls: type, field: str, value: object) -> Instruction:
+    """An instruction of a one-field class: a jump (``offset``) or an action instruction (``action``)."""
+    instruction = _new(cls)
+    _set(instruction, field, value)
+    return instruction
+
+
 def _match_instruction(token: str) -> Instruction | None:
-    """The instruction a well-formed token stands for, by its class's pattern; None for any other token."""
+    """The instruction a well-formed token stands for, by its class's pattern; None for any other token.
+
+    A token its pattern matches in full is built without the constructors'
+    checks, which the pattern has made: a jump length is a natural number,
+    an input index is at least 1 and an aux index at least 0, names and
+    methods are well formed and no symbol is ``tau``.
+    """
     found = _TERMINATIONS.get(token)
     if found is not None:
         return found
     jump = _JUMP_TOKEN.fullmatch(token)
     if jump is not None:
-        return (BwdJump if jump[1] else FwdJump)(int(jump[2]))
+        return _matched_instruction(BwdJump if jump[1] else FwdJump, "offset", int(jump[2]))
     match = _ACTION_TOKEN.fullmatch(token)
     if match is None:
         return None
     sign, in_index, aux_index, name, method, symbol = match.groups()
     if symbol is not None:
-        return None if symbol == "tau" else _BY_SIGN[sign](Action(symbol))
+        if symbol == "tau":
+            return None
+        return _matched_instruction(_BY_SIGN[sign], "action", _matched_action(symbol, None))
     if in_index is not None:
-        focus = Focus.input(int(in_index))
+        focus = _matched_focus("in", int(in_index), None)
     elif aux_index is not None:
-        focus = Focus.aux(int(aux_index))
+        focus = _matched_focus("aux", int(aux_index), None)
     else:
-        focus = Focus.named(name)
-    return _BY_SIGN[sign](Action(method, focus))
+        focus = _matched_focus("named", None, name)
+    return _matched_instruction(_BY_SIGN[sign], "action", _matched_action(method, focus))
 
 
 def parse(text: str) -> InstructionSequence:
@@ -294,23 +330,30 @@ def parse(text: str) -> InstructionSequence:
     :class:`ParseError` with a line:column position on malformed input.
     Each distinct token is parsed once per call and its (frozen) instruction
     shared; a malformed token fails at its first occurrence. A line is split
-    and stripped whole, and its tokens are looked up in bulk; only a
-    malformed token's column is computed.
+    whole; each distinct segment of it is stripped and looked up once, and
+    the line's instructions are gathered in bulk. Only a malformed token's
+    column is computed.
     """
     instructions: list[Instruction] = []
-    parsed: dict[str, Instruction] = {}
+    parsed: dict[str, Instruction] = {}  # token -> its one shared instruction
+    by_segment: dict[str, Instruction | None] = {}  # raw segment -> its token's instruction; None when blank
     for lineno, line in enumerate(text.splitlines(), 1):
         segments = line.split("//", 1)[0].split(";")
-        tokens = list(map(str.strip, segments))
-        for token in dict.fromkeys(tokens):  # the line's distinct tokens, in first-occurrence order
-            if token and token not in parsed:
+        for segment in dict.fromkeys(segments):  # the line's distinct segments, in first-occurrence order
+            if segment in by_segment:
+                continue
+            token = segment.strip()
+            instruction = parsed.get(token)
+            if instruction is None and token:
                 instruction = _match_instruction(token)
                 if instruction is None:
-                    at = tokens.index(token)
-                    column = sum(map(len, segments[:at])) + at + segments[at].index(token[0]) + 1
+                    # No earlier segment holds this token, or it would have failed there.
+                    at = segments.index(segment)
+                    column = sum(map(len, segments[:at])) + at + segment.index(token[0]) + 1
                     instruction = _parse_instruction(token, lineno, column)
                 parsed[token] = instruction
-        instructions.extend(map(parsed.__getitem__, filter(None, tokens)))
+            by_segment[segment] = instruction
+        instructions.extend(filter(None, map(by_segment.__getitem__, segments)))
     if not instructions:
         raise ParseError("empty instruction sequence")
     return InstructionSequence(tuple(instructions))

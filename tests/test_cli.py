@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import pglb
+import pglb.cli as cli
+from pglb import InfeasibleArityError, extract, parse
 from pglb.cli import main
+from thelpers import random_thread, reference_projection_refused
 
 LOOP_PROGRAM = r"a; +b; #2; #3; c; \#4; +d; !t; !f"
 EQ_PROGRAM = r"+in:1.get; #2; #4; +in:2.get; !t; !f; -in:2.get; \#3; \#3"
@@ -328,6 +331,34 @@ def test_project_deep_loop_does_not_recurse(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "project", path, "-n", "3000")
     assert code == 0
     assert out.strip() == "a ∘ " * 3000 + "D"
+
+
+def test_a_deep_projection_of_a_loop_is_refused_at_once(tmp_path, capsys):
+    path = write(tmp_path, "loop.pga", "a; \\#1")
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "project", path, "-n", str(10**15))
+    assert time.perf_counter() - started < 0.05
+    assert (code, out) == (3, "")
+    # -n 499999 makes exactly DEFAULT_STATE_CAP nodes: the root and one per level.
+    loop = extract(parse("a; \\#1"))
+    cli._check_projection_size(loop, 499_999)
+    with pytest.raises(InfeasibleArityError):
+        cli._check_projection_size(loop, 500_000)
+
+
+def test_the_projection_check_refuses_as_its_level_by_level_count(monkeypatch):
+    rng = random.Random(41)
+    for cap in (cli.DEFAULT_STATE_CAP, 1, 7, 60, 1000):
+        monkeypatch.setattr(cli, "DEFAULT_STATE_CAP", cap)
+        for _ in range(300):
+            thread = random_thread(rng)
+            depth = rng.randint(0, 60)
+            try:
+                cli._check_projection_size(thread, depth)
+                refused = False
+            except InfeasibleArityError:
+                refused = True
+            assert refused == reference_projection_refused(thread, depth, cap), (thread, depth, cap)
 
 
 def test_run_state_cap_maps_to_exit_three(tmp_path, capsys, monkeypatch):

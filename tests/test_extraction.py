@@ -17,7 +17,7 @@ from pglb import (
     parse,
     project,
 )
-from thelpers import leaf, loop_free, random_sequence
+from thelpers import leaf, loop_free, random_sequence, reference_compile_program
 
 A = Action("a")
 
@@ -91,6 +91,19 @@ def test_resolve_jumps_cases():
     assert parse("a; !t").compiled.entry(1) == 1  # non-jump resolves to itself
     leaving = parse("a; #5").compiled
     assert leaving.entry(2) == leaving.exit_state  # leaves the program
+    # Forward chains into a backward jump, each from its first jump, as the reference compiler lands them:
+    # the position behaviour continues at, 0 when it leaves the program, None for an infinite jump chain.
+    for text, start, position in (
+        (r"a; b; #1; #1; \#3; !t", 3, 2),  # lands on an instruction
+        (r"a; #1; #1; \#4; !t", 2, 0),  # lands on position 0
+        (r"a; #1; #1; #1; \#2; !t", 2, None),  # enters the jump-only cycle of positions 3 to 5
+    ):
+        sequence = parse(text)
+        size = len(sequence)
+        row = sequence.compiled.entry(start)
+        assert (row if row <= size else {size + 1: 0, size + 2: None}[row]) == position
+        reference = reference_compile_program(sequence, start)
+        assert reference["position"][reference["root"]] == position
 
 
 def test_jump_transparency():

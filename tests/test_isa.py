@@ -89,6 +89,28 @@ def test_parse_errors_carry_positions():
         parse("a; tau; !t")
 
 
+def test_a_token_is_one_shared_instruction_however_it_is_spaced():
+    first, *rest = parse("a; a ;\ta;  a").instructions
+    assert first == Basic(Action("a")) and len(rest) == 3
+    assert all(u is first for u in rest)
+    across_lines = parse("+in:1.get;\n  +in:1.get\t").instructions
+    assert across_lines[0] is across_lines[1]
+
+
+def test_blank_segments_are_dropped():
+    assert parse("a;;  ; b;") == parse("a; b")
+    assert parse(";\t;a; ;\n ; \n;b ;;") == parse("a; b")
+
+
+def test_a_bad_token_is_reported_where_first_written_however_it_is_spaced():
+    with pytest.raises(ParseError, match="^1:5: "):
+        parse("a;  #x ; #x;#x\n#x")
+    with pytest.raises(ParseError, match="^2:7: "):
+        parse("a; #1\na; b;\t#x;#x; #x ")
+    with pytest.raises(ParseError, match="^1:3: "):
+        parse("a;?; ? ;\t?")
+
+
 def test_parse_rejects_bad_foci():
     with pytest.raises(ParseError):
         parse("in:0.get")

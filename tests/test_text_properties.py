@@ -32,7 +32,7 @@ from pglb import (
     render,
 )
 from pglb.cli import main
-from pglb.isa import _match_instruction, _parse_instruction
+from pglb.isa import _match_instruction, _parse_instruction, render_instruction
 from pglb.synthesis import _parse_table_lines
 from thelpers import reference_compile_truth_table
 
@@ -113,14 +113,32 @@ TOKEN_PIECES = (
 
 @PROPERTY_SETTINGS
 @given(
-    st.lists(st.sampled_from(TOKEN_PIECES), min_size=1, max_size=6)
-    .map(lambda pieces: "".join(pieces).strip())
-    .filter(bool)
+    st.one_of(
+        st.lists(st.sampled_from(TOKEN_PIECES), min_size=1, max_size=6)
+        .map(lambda pieces: "".join(pieces).strip())
+        .filter(bool),
+        # Well-formed tokens of every class and focus kind, which the pieces above seldom join into.
+        instructions.map(render_instruction),
+    )
 )
 def test_a_token_matched_by_its_pattern_parses_alike(token):
     matched = _match_instruction(token)
-    if matched is not None:
-        assert matched == _parse_instruction(token, 1, 1)
+    if matched is None:
+        return
+    # A matched token is built without its constructors: each part must equal a constructed one
+    # in every field, however the fields are read.
+    parsed = _parse_instruction(token, 1, 1)
+    parts = [(matched, parsed)]
+    if hasattr(parsed, "action"):
+        parts.append((matched.action, parsed.action))
+        if parsed.action.focus is not None:
+            parts.append((matched.action.focus, parsed.action.focus))
+    for built, constructed in parts:
+        assert type(built) is type(constructed)
+        assert built == constructed
+        assert repr(built) == repr(constructed)
+        assert hash(built) == hash(constructed)
+        assert vars(built) == vars(constructed)
 
 
 truth_tables = st.integers(0, 6).flatmap(

@@ -304,6 +304,25 @@ def reference_compile_program(sequence, start: int = 1) -> dict:
     }
 
 
+def reference_projection_refused(thread: RegularThread, depth: int, cap: int) -> bool:
+    """Whether ``pglb project`` refuses ``depth``: its node count by one loop iteration per level."""
+    level, nodes = {thread.root: 1}, 1
+    for _ in range(depth):
+        following: dict = {}
+        for state, paths in level.items():
+            label = thread.states[state]
+            if isinstance(label, PostNode):
+                for succ in {label.then_state, label.else_state}:
+                    following[succ] = following.get(succ, 0) + paths
+        level = following
+        nodes += sum(level.values())
+        if nodes > cap:
+            return True
+        if not level:
+            return False
+    return False
+
+
 def reference_bisimilar(left: RegularThread, right: RegularThread) -> bool:
     """Bisimilarity by partition refinement: refine on (block, then-block, else-block) until stable."""
     offset = len(left.states)
