@@ -68,24 +68,26 @@ def _check_projection_size(thread: RegularThread, depth: int) -> None:
     Counts level by level the nodes of the tree ``render_term`` prints, the
     two branches of a test apart when they lead to different states: a bound
     on the printed term and on the projection's memo. Stops past the cap.
-    Once a level equals the one before it, every later level is that level
-    again, so the levels left are counted at once.
+    Repeating levels are found by Brent's method: the level at each power-of-two
+    depth is kept, and once a later level equals it, whole periods are counted at once.
     """
-    level, nodes = {thread.root: 1}, 1  # level: state -> paths reaching it at this depth
-    for built in range(depth):
+    level, nodes, built = {thread.root: 1}, 1, 0  # level: state -> paths reaching it at this depth
+    saved, saved_at, saved_nodes = level, 0, nodes
+    while built < depth and level and nodes <= DEFAULT_STATE_CAP:
         following: dict[int, int] = {}
         for state, paths in level.items():
             label = thread.states[state]
             if isinstance(label, PostNode):
                 for succ in {label.then_state, label.else_state}:
                     following[succ] = following.get(succ, 0) + paths
-        if following == level:
-            nodes += (depth - built) * sum(level.values())
-            break
-        level = following
+        level, built = following, built + 1
         nodes += sum(level.values())
-        if nodes > DEFAULT_STATE_CAP or not level:
-            break
+        if level == saved:
+            periods = (depth - built) // (built - saved_at)
+            built += periods * (built - saved_at)
+            nodes += periods * (nodes - saved_nodes)
+        elif built & (built - 1) == 0:
+            saved, saved_at, saved_nodes = level, built, nodes
     if nodes > DEFAULT_STATE_CAP:
         raise InfeasibleArityError(f"depth {depth}: over {DEFAULT_STATE_CAP} nodes to project (the state cap)")
 

@@ -87,30 +87,17 @@ def _land_jumps(landing: list[int | None], rows: tuple[_RowHead, ...], jumps: li
     ``jumps`` itself; ``rows`` holds the row head of each position. A chain
     of jumps that leaves the program lands on ``exit_state``, like position
     0 and the positions past the end; one that returns to one of its jumps
-    (an infinite jump chain) lands on ``exit_state + 1``. Forward jumps are
-    resolved in one pass from last to first, since their target is resolved
-    by then. From the last backward jump down, that pass also notes each
-    jump it leaves unresolved: the backward jumps and the forward chains
-    into one. Only those are then followed, with cycle detection. Returns
-    True when no jump is backward.
+    (an infinite jump chain) lands on ``exit_state + 1``. One pass from the
+    last jump to the first resolves each forward jump whose target is
+    resolved by then, and notes every other jump: the backward jumps and
+    the forward chains into one. Only those are then followed, with cycle
+    detection. Returns True when no jump is backward, that is when the pass
+    leaves none unresolved.
     """
     cycle_state = exit_state + 1
     end = len(landing) - 1
-    down = iter(reversed(jumps))
-    for p in down:
-        kind, _, _, _, _, offset, _ = rows[p]
-        if kind == _JUMP_BWD:
-            break
-        if offset == 0:
-            landing[p] = cycle_state
-        else:
-            q = p + offset
-            landing[p] = landing[q] if q <= end else exit_state
-    else:
-        return True
-    landing[p] = None
-    unresolved = [p]
-    for p in down:
+    unresolved: list[int] = []
+    for p in reversed(jumps):
         kind, _, _, _, _, offset, _ = rows[p]
         if kind == _JUMP_BWD:
             target = None
@@ -140,7 +127,7 @@ def _land_jumps(landing: list[int | None], rows: tuple[_RowHead, ...], jumps: li
                 q = q - offset if q > offset else 0
         for c in chain:
             landing[c] = result
-    return False
+    return not unresolved
 
 
 @dataclass(frozen=True, eq=False)

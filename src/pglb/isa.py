@@ -254,11 +254,10 @@ def _parse_instruction(token: str, line: int, column: int) -> Instruction:
     return Basic(_parse_action(token, line, column))
 
 
-# The well-formed tokens of each instruction class but terminations, one pattern per class.
-# Only a token that matches none of them goes through _parse_instruction, which words the error.
-_JUMP_TOKEN = re.compile(rf"(\\?)#({_NAT})")
-_ACTION_TOKEN = re.compile(
-    rf"([+-]?)\s*(?:(?:in:([1-9][0-9]*)|aux:({_NAT})|({_IDENT}))\.({_METHOD})|({_IDENT}))"
+# The well-formed tokens of every instruction class but terminations: a jump, or an action
+# instruction. Only a token it does not match goes through _parse_instruction, which words the error.
+_TOKEN = re.compile(
+    rf"(\\?)#({_NAT})|([+-]?)\s*(?:(?:in:([1-9][0-9]*)|aux:({_NAT})|({_IDENT}))\.({_METHOD})|({_IDENT}))"
 )
 _TERMINATIONS = {"!t": TERM_T, "!f": TERM_F}
 _BY_SIGN = {"": Basic, "+": PosTest, "-": NegTest}
@@ -293,9 +292,9 @@ def _matched_instruction(cls: type, field: str, value: object) -> Instruction:
 
 
 def _match_instruction(token: str) -> Instruction | None:
-    """The instruction a well-formed token stands for, by its class's pattern; None for any other token.
+    """The instruction a well-formed token stands for, by one pattern; None for any other token.
 
-    A token its pattern matches in full is built without the constructors'
+    A token the pattern matches in full is built without the constructors'
     checks, which the pattern has made: a jump length is a natural number,
     an input index is at least 1 and an aux index at least 0, names and
     methods are well formed and no symbol is ``tau``.
@@ -303,13 +302,12 @@ def _match_instruction(token: str) -> Instruction | None:
     found = _TERMINATIONS.get(token)
     if found is not None:
         return found
-    jump = _JUMP_TOKEN.fullmatch(token)
-    if jump is not None:
-        return _matched_instruction(BwdJump if jump[1] else FwdJump, "offset", int(jump[2]))
-    match = _ACTION_TOKEN.fullmatch(token)
+    match = _TOKEN.fullmatch(token)
     if match is None:
         return None
-    sign, in_index, aux_index, name, method, symbol = match.groups()
+    backslash, offset, sign, in_index, aux_index, name, method, symbol = match.groups()
+    if offset is not None:
+        return _matched_instruction(BwdJump if backslash else FwdJump, "offset", int(offset))
     if symbol is not None:
         if symbol == "tau":
             return None

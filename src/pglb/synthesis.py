@@ -339,7 +339,7 @@ def format_truth_table(fn: PartialBooleanFunction) -> str:
 
 
 def _parse_operand(token: str, lineno: int) -> Operand:
-    if len(token) > 1 and token[0] in "xg" and token[1:].isdigit():
+    if len(token) > 1 and token[0] in "xg" and token[1:].isascii() and token[1:].isdigit():
         index = int(token[1:])
         return InputRef(index) if token[0] == "x" else GateRef(index)
     raise ParseError(f"operand must be x<j> or g<j>, got {token!r}", lineno)
@@ -351,7 +351,7 @@ def parse_netlist(text: str) -> Circuit:
     if not lines or not lines[0].startswith("inputs"):
         raise ParseError("first line must be 'inputs <k>'", 1)
     fields = lines[0].split()
-    if len(fields) != 2 or not fields[1].isdigit():
+    if len(fields) != 2 or not fields[1].isascii() or not fields[1].isdigit():
         raise ParseError("first line must be 'inputs <k>'", 1)
     input_count = int(fields[1])
     gates: list[Gate] = []

@@ -294,68 +294,34 @@ def render_term(term: FiniteThread) -> str:
     return "".join(out)
 
 
-def _successors(label: StateLabel) -> tuple[int, ...]:
-    if not isinstance(label, PostNode):
-        return ()
-    if label.then_state == label.else_state:
-        return (label.then_state,)
-    return (label.then_state, label.else_state)
-
-
-def _reachable_preorder(thread: RegularThread) -> list[int]:
-    seen: set[int] = set()
-    order: list[int] = []
-    stack = [thread.root]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        order.append(state)
-        stack.extend(reversed(_successors(thread.states[state])))
-    return order
-
-
 def thread_equations(thread: RegularThread) -> str:
     """Recursive-specification view, one line per named state (root is E0).
 
-    States referenced more than once or closing a cycle get a name; anything
-    else is inlined, so simple examples read like hand-written equations.
+    The root and each action state with two or more distinct predecessors
+    get a name; the rest is inlined. Inlining ends: every cycle reachable
+    from the root contains the root or is entered at a state with two
+    distinct predecessors, one outside the cycle and one on it.
     """
-    order = _reachable_preorder(thread)
-    reachable = set(order)
-    refs: dict[int, int] = {s: 0 for s in reachable}
-    for state in reachable:
-        for succ in _successors(thread.states[state]):
-            refs[succ] += 1
-
-    # A back edge target must be named or inlining would never bottom out.
-    back_targets: set[int] = set()
-    on_stack: set[int] = set()
-    visited: set[int] = set()
-    stack: list[tuple[int, int]] = [(thread.root, 0)]
-    visited.add(thread.root)
-    on_stack.add(thread.root)
+    states, root = thread.states, thread.root
+    # Reachable states in preorder, then-branch first, and each one's count of distinct predecessors.
+    order: dict[int, None] = {}
+    refs: dict[int, int] = {}
+    stack = [root]
     while stack:
-        state, child = stack[-1]
-        succs = _successors(thread.states[state])
-        if child < len(succs):
-            stack[-1] = (state, child + 1)
-            nxt = succs[child]
-            if nxt in on_stack:
-                back_targets.add(nxt)
-            elif nxt not in visited:
-                visited.add(nxt)
-                on_stack.add(nxt)
-                stack.append((nxt, 0))
-        else:
-            stack.pop()
-            on_stack.discard(state)
+        state = stack.pop()
+        if state in order:
+            continue
+        order[state] = None
+        label = states[state]
+        if isinstance(label, PostNode):
+            succs = dict.fromkeys((label.then_state, label.else_state))
+            for succ in succs:
+                refs[succ] = refs.get(succ, 0) + 1
+            stack.extend(reversed(succs))
 
     named: dict[int, str] = {}
     for state in order:
-        is_post = isinstance(thread.states[state], PostNode)
-        if state == thread.root or (is_post and (refs[state] >= 2 or state in back_targets)):
+        if state == root or (isinstance(states[state], PostNode) and refs[state] >= 2):
             named[state] = f"E{len(named)}"
 
     def define(state: int) -> str:
@@ -371,7 +337,7 @@ def thread_equations(thread: RegularThread) -> str:
             if current in named and not defining:
                 out.append(named[current])
                 continue
-            label = thread.states[current]
+            label = states[current]
             if not isinstance(label, PostNode):
                 out.append(str(label))
             elif label.then_state == label.else_state:

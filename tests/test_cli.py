@@ -15,7 +15,7 @@ import pglb
 import pglb.cli as cli
 from pglb import InfeasibleArityError, extract, parse
 from pglb.cli import main
-from thelpers import random_thread, reference_projection_refused
+from thelpers import random_thread, reference_projection_nodes, reference_projection_refused
 
 LOOP_PROGRAM = r"a; +b; #2; #3; c; \#4; +d; !t; !f"
 EQ_PROGRAM = r"+in:1.get; #2; #4; +in:2.get; !t; !f; -in:2.get; \#3; \#3"
@@ -334,16 +334,19 @@ def test_project_deep_loop_does_not_recurse(tmp_path, capsys):
 
 
 def test_a_deep_projection_of_a_loop_is_refused_at_once(tmp_path, capsys):
-    path = write(tmp_path, "loop.pga", "a; \\#1")
-    started = time.perf_counter()
-    code, out, _ = run_cli(capsys, "project", path, "-n", str(10**15))
-    assert time.perf_counter() - started < 0.05
-    assert (code, out) == (3, "")
-    # -n 499999 makes exactly DEFAULT_STATE_CAP nodes: the root and one per level.
-    loop = extract(parse("a; \\#1"))
-    cli._check_projection_size(loop, 499_999)
-    with pytest.raises(InfeasibleArityError):
-        cli._check_projection_size(loop, 500_000)
+    # Levels that repeat from the first with period 1 and 2, and from the third with period 4.
+    for program in ("a; \\#1", "a; b; \\#2", "x; y; a; b; c; d; \\#4"):
+        path = write(tmp_path, "loop.pga", program)
+        started = time.perf_counter()
+        code, out, _ = run_cli(capsys, "project", path, "-n", str(10**15))
+        assert time.perf_counter() - started < 0.05, program
+        assert (code, out) == (3, ""), program
+    for program in ("a; \\#1", "a; b; \\#2"):
+        # -n 499999 makes exactly DEFAULT_STATE_CAP nodes: the root and one per level.
+        loop = extract(parse(program))
+        cli._check_projection_size(loop, 499_999)
+        with pytest.raises(InfeasibleArityError):
+            cli._check_projection_size(loop, 500_000)
 
 
 def test_the_projection_check_refuses_as_its_level_by_level_count(monkeypatch):
@@ -359,6 +362,20 @@ def test_the_projection_check_refuses_as_its_level_by_level_count(monkeypatch):
             except InfeasibleArityError:
                 refused = True
             assert refused == reference_projection_refused(thread, depth, cap), (thread, depth, cap)
+
+
+def test_the_projection_check_counts_repeating_levels_exactly(monkeypatch):
+    # Depths far past the states, so that whole periods of repeating levels are skipped.
+    rng = random.Random(43)
+    for _ in range(400):
+        thread = random_thread(rng, max_states=7)
+        depth = rng.randint(0, 300)
+        nodes = reference_projection_nodes(thread, depth)
+        monkeypatch.setattr(cli, "DEFAULT_STATE_CAP", nodes)
+        cli._check_projection_size(thread, depth)
+        monkeypatch.setattr(cli, "DEFAULT_STATE_CAP", nodes - 1)
+        with pytest.raises(InfeasibleArityError):
+            cli._check_projection_size(thread, depth)
 
 
 def test_run_state_cap_maps_to_exit_three(tmp_path, capsys, monkeypatch):

@@ -87,6 +87,9 @@ def test_parse_errors_carry_positions():
         parse("   // nothing here\n")
     with pytest.raises(ParseError, match="reserved"):
         parse("a; tau; !t")
+    for text in ("a; +#1", r"a; -\#2", "a; # 1"):  # a jump takes no sign and no space
+        with pytest.raises(ParseError, match="^1:4: "):
+            parse(text)
 
 
 def test_a_token_is_one_shared_instruction_however_it_is_spaced():

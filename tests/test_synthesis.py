@@ -210,3 +210,8 @@ def test_netlist_errors():
         parse_netlist("inputs 2\ng1 = NAND x1 x2\n")
     with pytest.raises(ParseError):
         parse_netlist("inputs 1\ng1 = NOT g2\n")  # forward reference
+    # Digits outside ASCII pass isdigit() but not int(): still a parse error with its line.
+    with pytest.raises(ParseError, match="^1: "):
+        parse_netlist("inputs \u00b2\ng1 = NOT x1\n")
+    with pytest.raises(ParseError, match="^2: "):
+        parse_netlist("inputs 1\ng1 = NOT x\u00b2\n")

@@ -70,7 +70,7 @@ def test_parse_inverts_render(sequence):
 
 
 GOOD_TOKENS = ("a", "+in:1.get", "#2", "!t", r"\#1", "- aux:0.set:f")
-BAD_TOKENS = ("?", "#x", "in:0.get", "tau", "+", "a.b.c")
+BAD_TOKENS = ("?", "#x", "in:0.get", "tau", "+", "a.b.c", "+#1", r"-\#2", "# 1")
 # Comments end a line; the bad tokens inside them must never be reported.
 COMMENTS = ("", "// ?", " //tau; #x", "//")
 
@@ -107,7 +107,8 @@ def test_a_bad_token_is_reported_at_its_first_position(lines, separator):
 
 # Pieces that join into well-formed and malformed tokens of every instruction class.
 TOKEN_PIECES = (
-    "+", "-", " ", "#", "\\", "!", "t", "f", "in", "aux", ":", "0", "1", "12", "01", ".", "get", "set", "tau", "a_b",
+    "+", "-", " ", "\t", "#", "\\", "!", "t", "f", "x", "in", "aux", ":", "0", "1", "12", "01", ".", "get", "set", "tau",
+    "a_b",
 )
 
 
@@ -124,6 +125,9 @@ TOKEN_PIECES = (
 def test_a_token_matched_by_its_pattern_parses_alike(token):
     matched = _match_instruction(token)
     if matched is None:
+        # The one pattern accepts every well-formed token: what it refuses does not parse.
+        with pytest.raises(ParseError):
+            _parse_instruction(token, 1, 1)
         return
     # A matched token is built without its constructors: each part must equal a constructed one
     # in every field, however the fields are read.

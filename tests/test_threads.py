@@ -1,6 +1,7 @@
 """Projection, bisimilarity and term/graph utilities."""
 
 import random
+import re
 import time
 
 import pytest
@@ -166,6 +167,66 @@ def test_equations_name_loop_states_only():
 
 def test_equations_for_leaf_root():
     assert thread_equations(leaf(S_PLUS)) == "E0 = S+"
+
+
+def test_equations_name_the_root_and_every_state_with_two_predecessors():
+    rng = random.Random(48)
+    cycles_off_root = 0
+    for _ in range(3000):
+        shape = random_thread(rng, max_states=8)
+        # One action per state, so the actions on a line show which states it defines and inlines.
+        labels = tuple(
+            PostNode(Action(f"q{s}"), label.then_state, label.else_state) if isinstance(label, PostNode) else label
+            for s, label in enumerate(shape.states)
+        )
+        root = shape.root
+        succs = [{l.then_state, l.else_state} if isinstance(l, PostNode) else set() for l in labels]
+        reachable, stack = set(), [root]
+        while stack:
+            state = stack.pop()
+            if state not in reachable:
+                reachable.add(state)
+                stack.extend(succs[state])
+        preds = {s: {p for p in reachable if s in succs[p]} for s in reachable}
+        named = {root} | {s for s in reachable if isinstance(labels[s], PostNode) and len(preds[s]) >= 2}
+        cycles_off_root += not _acyclic_without(succs, reachable, {root})
+        assert _acyclic_without(succs, reachable, named)
+
+        lines = thread_equations(RegularThread(labels, root)).splitlines()
+        assert len(lines) == len(named)
+        defined = set()
+        for number, line in enumerate(lines):
+            name, body = line.split(" = ")
+            assert name == f"E{number}"
+            actions = {int(s) for s in re.findall(r"q(\d+)", body)}
+            (state,) = {root} if number == 0 else actions & named
+            defined.add(state)
+            # The line inlines exactly the states reached from its own without passing a named one.
+            inlined, stack = set(), [state]
+            while stack:
+                s = stack.pop()
+                if s not in inlined and (s == state or s not in named):
+                    inlined.add(s)
+                    stack.extend(succs[s])
+            assert actions == {s for s in inlined if isinstance(labels[s], PostNode)}
+        assert defined == named
+    assert cycles_off_root > 100
+
+
+def _acyclic_without(succs, reachable, removed) -> bool:
+    """No cycle among the reachable states outside ``removed``, by Kahn's algorithm."""
+    kept = reachable - removed
+    indegree = dict.fromkeys(kept, 0)
+    for s in kept:
+        for t in succs[s] & kept:
+            indegree[t] += 1
+    ready = [s for s in kept if indegree[s] == 0]
+    for s in ready:  # grows while it is read
+        for t in succs[s] & kept:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                ready.append(t)
+    return len(ready) == len(kept)
 
 
 def test_dot_export_lists_states_and_edges():

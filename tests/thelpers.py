@@ -304,8 +304,8 @@ def reference_compile_program(sequence, start: int = 1) -> dict:
     }
 
 
-def reference_projection_refused(thread: RegularThread, depth: int, cap: int) -> bool:
-    """Whether ``pglb project`` refuses ``depth``: its node count by one loop iteration per level."""
+def reference_projection_nodes(thread: RegularThread, depth: int, cap: int | None = None) -> int:
+    """The nodes ``pglb project`` counts for ``depth``, one loop iteration per level; stops once past ``cap``."""
     level, nodes = {thread.root: 1}, 1
     for _ in range(depth):
         following: dict = {}
@@ -316,11 +316,14 @@ def reference_projection_refused(thread: RegularThread, depth: int, cap: int) ->
                     following[succ] = following.get(succ, 0) + paths
         level = following
         nodes += sum(level.values())
-        if nodes > cap:
-            return True
-        if not level:
-            return False
-    return False
+        if not level or (cap is not None and nodes > cap):
+            break
+    return nodes
+
+
+def reference_projection_refused(thread: RegularThread, depth: int, cap: int) -> bool:
+    """Whether ``pglb project`` refuses ``depth``: its node count is over ``cap``."""
+    return reference_projection_nodes(thread, depth, cap) > cap
 
 
 def reference_bisimilar(left: RegularThread, right: RegularThread) -> bool:
