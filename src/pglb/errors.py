@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of a decimal field in a data file."""
 
 
 class ParseError(ValueError):
@@ -11,6 +11,17 @@ class ParseError(ValueError):
             where = f"{line}:{column}" if column is not None else str(line)
             message = f"{where}: {message}"
         super().__init__(message)
+
+
+def parse_decimal(field: str, what: str, line: int, signed: bool = False) -> int:
+    """A field of ASCII digits, after one leading ``-`` when ``signed``, as an int; else a ParseError."""
+    digits = field[1:] if signed and field.startswith("-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"bad {what} {field!r}", line)
+    try:
+        return int(field)
+    except ValueError:  # more digits than int() converts by default
+        raise ParseError(f"{what} has too many digits", line) from None
 
 
 class MalformedCircuitError(ValueError):

@@ -75,9 +75,10 @@ def _row_head(instruction: Instruction) -> _RowHead:
     focus = act.focus
     if focus is None:
         return (OP_TAU if act == TAU else OP_ACTION, BANK_NONE, 0, M_OTHER, act, on_t, on_f)
-    bank = _BANKS.get(focus.kind, BANK_NONE)
-    method = _METHODS.get(act.name, M_OTHER)
-    return (OP_ACTION, bank, focus.index or 0, method, act, on_t, on_f)
+    bank = _BANKS[focus.kind] if focus.index else BANK_NONE  # no run serves a named focus or aux:0
+    # in:i is bit i-1, as input i is of a table index; compile_program turns an aux index into its bit.
+    index = focus.index - 1 if bank == BANK_IN else focus.index or 0
+    return (OP_ACTION, bank, index, _METHODS.get(act.name, M_OTHER), act, on_t, on_f)
 
 
 def _land_jumps(landing: list[int | None], rows: tuple[_RowHead, ...], jumps: list[int], exit_state: int) -> bool:
@@ -141,10 +142,12 @@ class CompiledProgram:
     past the end) and ``exit_state + 1`` (an infinite jump chain) follow the
     last position. ``heads`` are the distinct rows in first-occurrence
     order, ``states`` counts the non-jump positions and ``written`` holds
-    the banks some method sets. ``aux_named`` holds the aux indices above 0
-    the program names, ascending; an aux row's index is the rank of its
-    focus there (1 for the lowest, 0 for aux:0), so the registers packed for
-    a run are as many as the program names, however large the indices.
+    the banks some method sets. A register row's index is the bit that
+    holds its register: i-1 for in:i, as for input i in a table index, and
+    r-1 for the aux focus of rank r in ``aux_named``, the aux indices above
+    0 the program names, ascending. So the aux registers packed for a run
+    are as many as the program names, however large the indices. No run
+    serves aux:0 or a named focus: their rows are ``BANK_NONE``.
 
     ``acyclic`` holds when the program has no backward jump. Then every edge
     leads to a higher row, so no run visits a row twice. The form holds the
@@ -175,18 +178,18 @@ def compile_program(sequence: InstructionSequence) -> CompiledProgram:
 
     Per position, only ``map`` and ``compress`` run: one row head is built
     per distinct instruction object (``parse`` shares equal instructions),
-    then aux indices become ranks and the jumps are resolved.
+    then aux indices become bits by rank and the jumps are resolved.
     """
     instructions = sequence.instructions
     size = len(instructions)
     exit_state = size + 1
     ids = list(map(id, instructions))
     heads_by_id = {key: _row_head(u) for key, u in dict(zip(ids, instructions)).items()}
-    aux_named = sorted({head[2] for head in heads_by_id.values() if head[1] == BANK_AUX} - {0})
-    rank = {index: r for r, index in enumerate(aux_named, 1)}
+    aux_named = sorted({head[2] for head in heads_by_id.values() if head[1] == BANK_AUX})
+    bit = {index: r for r, index in enumerate(aux_named)}
     for key, head in heads_by_id.items():
-        if head[1] == BANK_AUX and rank.get(head[2], 0) != head[2]:
-            heads_by_id[key] = (*head[:2], rank[head[2]], *head[3:])
+        if head[1] == BANK_AUX:
+            heads_by_id[key] = (*head[:2], bit[head[2]], *head[3:])
     rows = (_DEADLOCK_HEAD, *map(heads_by_id.__getitem__, ids), _DEADLOCK_HEAD, _DEADLOCK_HEAD)
     jump_ids = {key for key, head in heads_by_id.items() if head[0] < 0}
     jumps = list(compress(range(1, exit_state), map(jump_ids.__contains__, ids)))

@@ -35,11 +35,13 @@ from .extraction import (
 )
 from .isa import InstructionSequence, TAU, render_instruction
 from .services import Reply, ServiceFamily
-from .synthesis import input_masks
+from .synthesis import input_index, input_masks
 from .threads import DEADLOCK, Deadlock, PostNode, RegularThread, SMinus, SPlus
 
 # Bound on the configurations one walk visits (and on the states of a use_apply product).
 DEFAULT_STATE_CAP = 500_000
+# Records a trace keeps before its truncation marker.
+TRACE_LIMIT = 10_000
 
 # Bound on exit_state * 2^input_count, about the bit operations of one
 # reply_sets pass; past it a walk per input is as fast. It admits every
@@ -47,15 +49,13 @@ DEFAULT_STATE_CAP = 500_000
 REPLY_SETS_BIT_BUDGET = 1 << 35
 
 
-def use_apply(
-    thread: RegularThread, family: ServiceFamily, max_states: int = DEFAULT_STATE_CAP
-) -> RegularThread:
+def use_apply(thread: RegularThread, family: ServiceFamily) -> RegularThread:
     """Product of a thread with a service family (the use operator).
 
     The result's states are reachable configurations (thread state, family
     state). Raises :class:`StateSpaceCapExceeded` when more than
-    ``max_states`` configurations appear, which signals a service with an
-    unexpectedly large state space.
+    ``DEFAULT_STATE_CAP`` configurations appear, which signals a service
+    with an unexpectedly large state space.
     """
     labels_in = thread.states
     index: dict[tuple[int, frozenset], int] = {}
@@ -67,8 +67,8 @@ def use_apply(
         known = index.get(key)
         if known is not None:
             return known
-        if len(index) >= max_states:
-            raise StateSpaceCapExceeded(f"more than {max_states} thread/service configurations")
+        if len(index) >= DEFAULT_STATE_CAP:
+            raise StateSpaceCapExceeded(f"more than {DEFAULT_STATE_CAP} thread/service configurations")
         cfg = len(index)
         index[key] = cfg
         labels_out.append(DEADLOCK)  # placeholder until processed
@@ -185,34 +185,32 @@ def walk(
     inputs: int,
     input_count: int,
     aux_count: int = 0,
-    max_states: int = DEFAULT_STATE_CAP,
     steps: list[TraceStep] | None = None,
-    max_steps: int = 0,
 ) -> Reply:
     """Run a compiled program on packed Boolean registers: the one execution loop.
 
-    Bit i of ``inputs`` holds register in:i (i = 1..input_count); registers
-    aux:1..aux_count all start at t. Only the aux registers the program
-    names are packed into an int, bit r for the one of rank r (see
-    :class:`~pglb.extraction.CompiledProgram`): nothing reads the others.
+    ``inputs`` is the table index of the input: bit i-1 holds register in:i
+    (i = 1..input_count). Registers aux:1..aux_count all start at t. Only
+    the aux registers the program names are packed into an int, bit r-1 for
+    the one of rank r (see :class:`~pglb.extraction.CompiledProgram`):
+    nothing reads the others.
     Any reply d ends the run: an unknown method, a focus no register serves
     (aux:0, a named focus, an index out of range) or a deadlock. A
     configuration (position, aux bits, input bits) seen twice means the run
     never terminates, reply d; when the program writes no input register,
     the input bits never change, so one int of aux bits and position keys
-    it. Raises
-    :class:`StateSpaceCapExceeded` when the run visits more than
-    ``max_states`` configurations.
+    it. Raises :class:`StateSpaceCapExceeded` when the run visits more than
+    ``DEFAULT_STATE_CAP`` configurations.
 
-    When the program is ``acyclic`` and has at most ``max_states`` non-jump
-    positions, the walk keeps no set of configurations and checks no cap:
-    every step moves to a higher row, so no configuration can repeat, and
-    the run visits at most one configuration per non-jump position, within
-    the cap. The result is the same as with the set.
+    When the program is ``acyclic`` and has at most ``DEFAULT_STATE_CAP``
+    non-jump positions, the walk keeps no set of configurations and checks
+    no cap: every step moves to a higher row, so no configuration can
+    repeat, and the run visits at most one configuration per non-jump
+    position, within the cap. The result is the same as with the set.
 
     With a ``steps`` list, one :class:`TraceStep` per visited row is
-    appended until ``max_steps`` records, then a truncation marker; the walk
-    goes on to the reply either way.
+    appended until ``TRACE_LIMIT`` records, then a truncation marker; the
+    walk goes on to the reply either way.
 
     :func:`reply_sets` implements the same rules for all inputs at once;
     a change to one must be made to the other.
@@ -222,9 +220,10 @@ def walk(
     rows, landing = program.rows, program.landing
     recording = steps is not None
     log: list[TraceStep] = steps if steps is not None else []
-    served = bisect_right(program.aux_named, aux_count)  # the ranks 1..served hold a register
-    aux = ((1 << served) - 1) << 1
+    served = bisect_right(program.aux_named, aux_count)  # the bits 0..served-1 hold a register
+    aux = (1 << served) - 1
     seen: set[object] = set()
+    max_states, max_steps = DEFAULT_STATE_CAP, TRACE_LIMIT
     tracking = not (program.acyclic and program.states <= max_states)
     packed_key = BANK_IN not in program.written
     shift = len(rows).bit_length()
@@ -248,9 +247,9 @@ def walk(
             seen.add(key)
             if len(seen) > max_states:
                 raise StateSpaceCapExceeded(f"a run visited more than {max_states} configurations")
-        if b == BANK_AUX and 0 < i <= served:
+        if b == BANK_AUX and i < served:
             regs = aux
-        elif b == BANK_IN and i <= input_count:
+        elif b == BANK_IN and i < input_count:
             regs = inputs
         elif op == OP_TAU:
             if recording:
@@ -285,23 +284,23 @@ def walk(
 def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -> tuple[int, int, int] | None:
     """The inputs whose runs reply t, f and d, as bit masks over table indices; or None.
 
-    Bit j of each mask stands for the input whose register in:i holds bit
-    i-1 of j, the run ``walk(program, j << 1, input_count, aux_count)``
-    takes. The three masks split all 2^input_count inputs. Applies when the
-    program is ``acyclic``, has at most ``DEFAULT_STATE_CAP`` non-jump
-    positions (so the walk keeps no configuration set and cannot trip its
-    cap), writes no register, and its non-jump positions times
-    2^input_count stay within ``REPLY_SETS_BIT_BUDGET``; returns None
-    otherwise.
+    Bit j of each mask stands for the input at table index j, which
+    :func:`walk` takes as its ``inputs``. The three masks split all
+    2^input_count inputs. Applies when the program is ``acyclic``, has at
+    most ``DEFAULT_STATE_CAP`` non-jump positions (so the walk keeps no
+    configuration set and cannot trip its cap), writes no register, and its
+    non-jump positions times 2^input_count stay within
+    ``REPLY_SETS_BIT_BUDGET``; returns None otherwise.
 
     One pass visits the rows in index order from the root, which is a
     topological order, since every edge of an acyclic program leads to a
     higher row. ``reach[r]`` holds the inputs whose run reaches row r; no
     run reaches a jump position. The rules are :func:`walk`'s, applied to a
     set of inputs at once: a served ``get`` on in:i splits the set by bit
-    i-1, a served ``get`` on aux goes to the then-branch (aux registers
-    start at t and nothing writes them), tau goes to the then-branch, and
-    everything else the walk answers d for goes to the d set.
+    i-1 of the table index, a served ``get`` on aux goes to the then-branch
+    (aux registers start at t and nothing writes them), tau goes to the
+    then-branch, and everything else the walk answers d for goes to the d
+    set.
     """
     if aux_count < 0:
         raise ValueError("aux_count must be >= 0")
@@ -328,9 +327,9 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
         if op >= OP_TRUE:
             finals[op - OP_TRUE] |= here
             continue
-        if b == BANK_AUX and 0 < i <= served:
+        if b == BANK_AUX and i < served:
             on = here
-        elif b == BANK_IN and i <= input_count:
+        elif b == BANK_IN and i < input_count:
             on = here & masks[i]
         elif op == OP_TAU:
             reach[landing[row + on_t]] |= here
@@ -347,44 +346,32 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
 
 
 def _pack_inputs(inputs: list[bool] | tuple[bool, ...]) -> int:
-    """Input register file as an int: bit i holds in:i."""
+    """Input register file as an int: its table index."""
     if not all(isinstance(b, bool) for b in inputs):
         raise ValueError("inputs must be Booleans")
-    return sum(1 << i for i, b in enumerate(inputs, 1) if b)
+    return input_index(inputs)
 
 
-def compute(
-    sequence: InstructionSequence,
-    inputs: list[bool] | tuple[bool, ...],
-    aux_count: int = 0,
-    max_states: int = DEFAULT_STATE_CAP,
-) -> Reply:
+def compute(sequence: InstructionSequence, inputs: list[bool] | tuple[bool, ...], aux_count: int = 0) -> Reply:
     """Run a program on Boolean inputs.
 
     The program's thread first uses aux:1..aux_count registers (all starting
     at t), then the reply is taken over input registers in:1..in:k holding
     the given values: ``reply(use_apply(extract(p), aux), inputs)``, walked
-    lazily. ``max_states`` bounds the configurations the run visits.
+    lazily. ``DEFAULT_STATE_CAP`` bounds the configurations the run visits.
     """
-    return walk(sequence.compiled, _pack_inputs(inputs), len(inputs), aux_count, max_states)
+    return walk(sequence.compiled, _pack_inputs(inputs), len(inputs), aux_count)
 
 
-def trace(
-    sequence: InstructionSequence,
-    inputs: list[bool] | tuple[bool, ...],
-    aux_count: int = 0,
-    max_steps: int = 10_000,
-) -> list[TraceStep]:
-    """Deterministic step log of a computation, truncated at ``max_steps``.
+def trace(sequence: InstructionSequence, inputs: list[bool] | tuple[bool, ...], aux_count: int = 0) -> list[TraceStep]:
+    """Deterministic step log of a computation, truncated at ``TRACE_LIMIT`` records.
 
     The same walk as :func:`compute`, recording each executed basic or test
     instruction. The last record carries the reply of the run; after a
     truncation the walk goes on unrecorded, and the marker carries it.
     """
     steps: list[TraceStep] = []
-    answer = walk(
-        sequence.compiled, _pack_inputs(inputs), len(inputs), aux_count, DEFAULT_STATE_CAP, steps, max_steps
-    )
+    answer = walk(sequence.compiled, _pack_inputs(inputs), len(inputs), aux_count, steps)
     if steps[-1].kind == "truncated":
         steps[-1] = replace(steps[-1], reply=answer)
     return steps

@@ -28,12 +28,16 @@ GET = "get"
 SET_T = "set:t"
 SET_F = "set:f"
 
+# A number in a program has at most as many digits as int() converts by default.
+_MAX_DIGITS = 4300
 _IDENT = r"[A-Za-z0-9_]+"
 _METHOD = rf"{_IDENT}(?::{_IDENT})*"
-_NAT = r"(?:0|[1-9][0-9]*)"
+_POSITIVE = rf"[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}"
+_NAT = rf"(?:0|{_POSITIVE})"
 _IDENT_RE = re.compile(_IDENT + r"\Z")
 _METHOD_RE = re.compile(_METHOD + r"\Z")
 _NAT_RE = re.compile(_NAT + r"\Z")
+_DIGITS_RE = re.compile(r"[0-9]+\Z")
 
 
 @dataclass(frozen=True)
@@ -207,14 +211,20 @@ def render(sequence: InstructionSequence) -> str:
     return "; ".join(parts)
 
 
+def _parse_nat(digits: str, what: str, line: int, column: int) -> int:
+    """The natural number ``digits`` spells, or a :class:`ParseError` naming ``what``."""
+    if _NAT_RE.match(digits):
+        return int(digits)
+    if len(digits) > _MAX_DIGITS and _DIGITS_RE.match(digits):
+        raise ParseError(f"{what} has more than {_MAX_DIGITS} digits", line, column)
+    raise ParseError(f"bad {what} {digits!r}", line, column)
+
+
 def _parse_focus(text: str, line: int, column: int) -> Focus:
     for kind in ("in", "aux"):
         head = kind + ":"
         if text.startswith(head):
-            digits = text[len(head):]
-            if not _NAT_RE.match(digits):
-                raise ParseError(f"bad {kind} focus index {digits!r}", line, column)
-            index = int(digits)
+            index = _parse_nat(text[len(head):], f"{kind} focus index", line, column)
             if kind == "in" and index < 1:
                 raise ParseError("input focus index must be >= 1", line, column)
             return Focus(kind, index=index)
@@ -244,10 +254,7 @@ def _parse_instruction(token: str, line: int, column: int) -> Instruction:
         return TERM_F
     for head, ctor in (("\\#", BwdJump), ("#", FwdJump)):
         if token.startswith(head):
-            digits = token[len(head):]
-            if not _NAT_RE.match(digits):
-                raise ParseError(f"bad jump length {digits!r}", line, column)
-            return ctor(int(digits))
+            return ctor(_parse_nat(token[len(head):], "jump length", line, column))
     if token[0] in "+-":
         ctor = PosTest if token[0] == "+" else NegTest
         return ctor(_parse_action(token[1:].strip(), line, column))
@@ -257,7 +264,7 @@ def _parse_instruction(token: str, line: int, column: int) -> Instruction:
 # The well-formed tokens of every instruction class but terminations: a jump, or an action
 # instruction. Only a token it does not match goes through _parse_instruction, which words the error.
 _TOKEN = re.compile(
-    rf"(\\?)#({_NAT})|([+-]?)\s*(?:(?:in:([1-9][0-9]*)|aux:({_NAT})|({_IDENT}))\.({_METHOD})|({_IDENT}))"
+    rf"(\\?)#({_NAT})|([+-]?)\s*(?:(?:in:({_POSITIVE})|aux:({_NAT})|({_IDENT}))\.({_METHOD})|({_IDENT}))"
 )
 _TERMINATIONS = {"!t": TERM_T, "!f": TERM_F}
 _BY_SIGN = {"": Basic, "+": PosTest, "-": NegTest}

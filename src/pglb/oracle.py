@@ -19,7 +19,7 @@ from .errors import InfeasibleArityError
 from .interaction import reply_sets, walk
 from .isa import InstructionSequence
 from .services import Reply
-from .synthesis import AND, Circuit, InputRef, NOT, PartialBooleanFunction
+from .synthesis import AND, Circuit, InputRef, NOT, PartialBooleanFunction, input_vector
 
 
 def eval_circuit(circuit: Circuit, inputs: Sequence[bool]) -> bool:
@@ -104,9 +104,8 @@ def equivalence_check(
     program = sequence.compiled
     arity = fn.arity
     sets = reply_sets(program, arity, aux_count)
-    # Table index j has input i at bit i-1; the walk wants in:i at bit i.
     if sets is None:
-        replies = ((j, walk(program, j << 1, arity, aux_count)) for j in range(len(fn.entries)))
+        replies = ((j, walk(program, j, arity, aux_count)) for j in range(len(fn.entries)))
     else:
         digits = "".join(map(_ENTRY_CHAR.__getitem__, reversed(fn.entries)))
         want_t = int(digits.translate(_WANT_T), 2)
@@ -122,6 +121,5 @@ def equivalence_check(
     for j, got in replies:
         expected = _EXPECTED[fn.entries[j]]
         if got is not expected:
-            bits = tuple(bool(j >> i & 1) for i in range(arity))
-            mismatches.append(Mismatch(bits, got, expected))
+            mismatches.append(Mismatch(input_vector(j, arity), got, expected))
     return EquivalenceReport(fn.arity, aux_count, tuple(mismatches))

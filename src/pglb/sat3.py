@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InfeasibleArityError, ParseError
+from .errors import InfeasibleArityError, ParseError, parse_decimal
 from .isa import (
     Action,
     Basic,
@@ -137,8 +137,11 @@ def canonical_clause(literals: Sequence[tuple[int, bool]]) -> ClauseShape:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """DIMACS-style input: ``p cnf k c`` then c clauses of exactly 3 literals."""
-    tokens: list[str] = []
+    """DIMACS-style input: ``p cnf k c`` then c clauses of exactly 3 literals.
+
+    Numbers are ASCII decimal; a literal may have a leading ``-``.
+    """
+    tokens: list[tuple[str, int]] = []  # (token, line)
     header: tuple[int, int] | None = None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -150,29 +153,25 @@ def parse_dimacs(text: str) -> CnfFormula:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError("header must be 'p cnf <vars> <clauses>'", lineno)
-            try:
-                header = (int(fields[2]), int(fields[3]))
-            except ValueError:
-                raise ParseError("non-numeric header fields", lineno) from None
+            header = (
+                parse_decimal(fields[2], "variable count", lineno), parse_decimal(fields[3], "clause count", lineno)
+            )
             continue
-        tokens.extend(line.split())
+        tokens.extend((token, lineno) for token in line.split())
     if header is None:
         raise ParseError("missing 'p cnf' header")
     k, expected = header
     clauses: set[ClauseShape] = set()
     current: list[tuple[int, bool]] = []
     total = 0
-    for token in tokens:
-        try:
-            value = int(token)
-        except ValueError:
-            raise ParseError(f"bad literal {token!r}") from None
+    for token, lineno in tokens:
+        value = parse_decimal(token, "literal", lineno, signed=True)
         if value == 0:
             if len(current) != 3:
-                raise ParseError(f"clause must have exactly 3 literals, got {len(current)}")
+                raise ParseError(f"clause must have exactly 3 literals, got {len(current)}", lineno)
             shape = canonical_clause(current)
             if max(shape.l, shape.m, shape.n) > k:
-                raise ParseError(f"variable index exceeds declared count {k}")
+                raise ParseError(f"variable index exceeds declared count {k}", lineno)
             clauses.add(shape)
             total += 1
             current = []

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .errors import InfeasibleArityError, MalformedCircuitError, ParseError
+from .errors import InfeasibleArityError, MalformedCircuitError, ParseError, parse_decimal
 from .isa import (
     Action,
     Basic,
@@ -30,6 +30,16 @@ from .isa import (
     TERM_T,
 )
 from .sat3 import brute_sat, clause_count, decode
+
+
+def input_index(bits: Sequence[bool]) -> int:
+    """The table index of an input vector: input i is bit i-1."""
+    return sum(1 << i for i, b in enumerate(bits) if b)
+
+
+def input_vector(index: int, arity: int) -> tuple[bool, ...]:
+    """The input vector at a table index: the inverse of :func:`input_index`."""
+    return tuple(bool(index >> i & 1) for i in range(arity))
 
 
 @dataclass(frozen=True)
@@ -51,26 +61,17 @@ class PartialBooleanFunction:
             raise ValueError(f"table needs {2 ** self.arity} entries, got {len(self.entries)}")
 
     @staticmethod
-    def _index(bits: Sequence[bool]) -> int:
-        return sum(1 << i for i, b in enumerate(bits) if b)
-
-    @staticmethod
     def from_callable(arity: int, fn: Callable[[tuple[bool, ...]], bool | None]) -> "PartialBooleanFunction":
-        entries = []
-        for index in range(2**arity):
-            bits = tuple(bool(index >> i & 1) for i in range(arity))
-            entries.append(fn(bits))
-        return PartialBooleanFunction(arity, tuple(entries))
+        return PartialBooleanFunction(arity, tuple(fn(input_vector(j, arity)) for j in range(2**arity)))
 
     def value_at(self, bits: Sequence[bool]) -> bool | None:
         if len(bits) != self.arity:
             raise ValueError(f"expected {self.arity} inputs, got {len(bits)}")
-        return self.entries[self._index(bits)]
+        return self.entries[input_index(bits)]
 
     def inputs(self) -> Iterator[tuple[bool, ...]]:
         """All input vectors in table order."""
-        for index in range(2**self.arity):
-            yield tuple(bool(index >> i & 1) for i in range(self.arity))
+        return (input_vector(j, self.arity) for j in range(2**self.arity))
 
 
 def truth_table_length(arity: int) -> int:
@@ -212,12 +213,12 @@ _COLUMNS_HEADER = re.compile(r"k ([0-9]{1,2})\n")
 
 
 def input_masks(arity: int) -> list[int]:
-    """``masks[i]``: the table indices with bit i-1 set, as a bit mask; ``masks[0]`` is 0.
+    """``masks[i]``: the table indices with bit i set, input i+1, as a bit mask.
 
     Built by doubling: adding an input copies every mask into the upper
     half of the table, where the new input's mask is all ones.
     """
-    masks = [0]
+    masks: list[int] = []
     width, full = 1, 1
     for _ in range(arity):
         masks = [m | m << width for m in masks]
@@ -282,7 +283,7 @@ def _read_table_columns(text: str) -> PartialBooleanFunction | None:
     if len(body) != width << arity or not re.fullmatch(rf"(?:[tf]{{{arity}}} [tfu]\n)*", body):
         return None
     columns = [int(body[i::width][::-1].translate(_PATTERN_BITS), 2) for i in range(arity)]
-    masks = input_masks(arity)[1:]
+    masks = input_masks(arity)
     values = body[arity + 1 :: width]
     if columns != masks:
         if columns != masks[::-1]:
@@ -299,10 +300,7 @@ def _parse_table_lines(text: str) -> PartialBooleanFunction:
     fields = lines[0].split()
     if len(fields) != 2 or not fields[1].isascii() or not fields[1].isdigit():
         raise ParseError("first line must be 'k <arity>'", 1)
-    try:
-        arity = int(fields[1])
-    except ValueError:  # more digits than int() converts by default
-        raise ParseError("arity has too many digits", 1) from None
+    arity = parse_decimal(fields[1], "arity", 1)
     rows: dict[int, bool | None] = {}  # keyed by table index, input 1 least significant
     for lineno, line in enumerate(lines[1:], 2):
         fields = line.split()
@@ -340,7 +338,7 @@ def format_truth_table(fn: PartialBooleanFunction) -> str:
 
 def _parse_operand(token: str, lineno: int) -> Operand:
     if len(token) > 1 and token[0] in "xg" and token[1:].isascii() and token[1:].isdigit():
-        index = int(token[1:])
+        index = parse_decimal(token[1:], "operand", lineno)
         return InputRef(index) if token[0] == "x" else GateRef(index)
     raise ParseError(f"operand must be x<j> or g<j>, got {token!r}", lineno)
 
@@ -353,7 +351,7 @@ def parse_netlist(text: str) -> Circuit:
     fields = lines[0].split()
     if len(fields) != 2 or not fields[1].isascii() or not fields[1].isdigit():
         raise ParseError("first line must be 'inputs <k>'", 1)
-    input_count = int(fields[1])
+    input_count = parse_decimal(fields[1], "input count", 1)
     gates: list[Gate] = []
     for lineno, line in enumerate(lines[1:], 2):
         fields = line.split()

@@ -268,30 +268,40 @@ def aip_equal(left: RegularThread, right: RegularThread, depth: int) -> bool:
     return all(at_left(n) is at_right(n) for n in range(depth + 1))
 
 
-def render_term(term: FiniteThread) -> str:
-    """Readable form: ``a . T`` for action prefix, ``T <+ a +> T'`` otherwise."""
+def _render(root: object, expand: Callable[[object, bool], "str | tuple[Action, object, object]"]) -> str:
+    """The text of the term at ``root``, whose nodes ``expand(node, top)`` describes.
+
+    ``expand`` gives a node's text (a leaf or a name) or its (action, then,
+    else); ``top`` holds for ``root`` alone. A node reads ``a ∘ X`` when both
+    branches are equal and ``X ⊴ a ⊵ Y`` otherwise, in parentheses when it
+    is a branch of another.
+    """
     out: list[str] = []
-    # Pending output, last first: literal text or (term, rendered as an argument).
-    pending: list[str | tuple[FiniteThread, bool]] = [(term, False)]
+    pending: list = [root]  # pending output, last first: literal text or a node
+    top = True
     while pending:
-        item = pending.pop()
-        if isinstance(item, str):
-            out.append(item)
+        node = pending.pop()
+        if node.__class__ is str:
+            out.append(node)
             continue
-        t, as_argument = item
-        if not isinstance(t, Post):
-            out.append(str(t))
-        elif t.then_branch is t.else_branch or t.then_branch == t.else_branch:
-            out.append(f"{t.action} ∘ ")
-            pending.append((t.then_branch, True))
+        found = expand(node, top)  # its text, or its (action, then, else)
+        if found.__class__ is str:
+            out.append(found)
+        elif found[1] is found[2] or found[1] == found[2]:
+            out.append(f"{found[0]} ∘ ")
+            pending.append(found[1])
+        elif top:
+            pending += [found[2], f" ⊴ {found[0]} ⊵ ", found[1]]
         else:
-            parts: list[str | tuple[FiniteThread, bool]] = [
-                (t.then_branch, True), f" ⊴ {t.action} ⊵ ", (t.else_branch, True)
-            ]
-            if as_argument:
-                parts = ["(", *parts, ")"]
-            pending.extend(reversed(parts))
+            out.append("(")
+            pending += [")", found[2], f" ⊴ {found[0]} ⊵ ", found[1]]
+        top = False
     return "".join(out)
+
+
+def render_term(term: FiniteThread) -> str:
+    """Readable form: ``a ∘ T`` for action prefix, ``T ⊴ a ⊵ T'`` otherwise."""
+    return _render(term, lambda t, top: (t.action, t.then_branch, t.else_branch) if isinstance(t, Post) else str(t))
 
 
 def thread_equations(thread: RegularThread) -> str:
@@ -324,35 +334,14 @@ def thread_equations(thread: RegularThread) -> str:
         if state == root or (isinstance(states[state], PostNode) and refs[state] >= 2):
             named[state] = f"E{len(named)}"
 
-    def define(state: int) -> str:
-        out: list[str] = []
-        # Pending output, last first: literal text or (state, as an argument, being defined).
-        pending: list[str | tuple[int, bool, bool]] = [(state, False, True)]
-        while pending:
-            item = pending.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            current, as_argument, defining = item
-            if current in named and not defining:
-                out.append(named[current])
-                continue
-            label = states[current]
-            if not isinstance(label, PostNode):
-                out.append(str(label))
-            elif label.then_state == label.else_state:
-                out.append(f"{label.action} ∘ ")
-                pending.append((label.then_state, True, False))
-            else:
-                out.append("(" if as_argument else "")
-                pending.append(")" if as_argument else "")
-                pending.append((label.else_state, True, False))
-                pending.append(f" ⊴ {label.action} ⊵ ")
-                pending.append((label.then_state, True, False))
-        return "".join(out)
+    def expand(state: int, top: bool) -> str | tuple[Action, int, int]:
+        # A named state is defined on its own line and referred to by name everywhere else.
+        if state in named and not top:
+            return named[state]
+        label = states[state]
+        return (label.action, label.then_state, label.else_state) if isinstance(label, PostNode) else str(label)
 
-    lines = [f"{name} = {define(state)}" for state, name in named.items()]
-    return "\n".join(lines)
+    return "\n".join(f"{name} = {_render(state, expand)}" for state, name in named.items())
 
 
 def thread_to_dot(thread: RegularThread) -> str:

@@ -47,6 +47,20 @@ def test_fmt_reports_parse_errors(tmp_path, capsys):
     assert not out and "parse error" in err
 
 
+def test_numbers_too_long_to_convert_are_parse_errors(tmp_path, capsys):
+    long = "9" * 5000
+    cases = (
+        (("fmt",), f"a; #{long}\n", "1:4: jump length has more than 4300 digits"),
+        (("fmt",), f"+in:{long}.get; !t; !f\n", "1:1: in focus index has more than 4300 digits"),
+        (("compile", "circuit"), f"inputs {long}\ng1 = NOT x1\n", "1: input count has too many digits"),
+        (("encode", "cnf"), f"p cnf {long} 1\n1 1 1 0\n", "1: variable count has too many digits"),
+        (("encode", "cnf"), "p cnf 1_0 1\n1 1 1 0\n", "1: bad variable count '1_0'"),
+    )
+    for command, text, message in cases:
+        code, out, err = run_cli(capsys, *command, write(tmp_path, "input.txt", text))
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
 def test_missing_file_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "fmt", "/nonexistent/file.pga")
     assert code == 2 and err
@@ -379,18 +393,7 @@ def test_the_projection_check_counts_repeating_levels_exactly(monkeypatch):
 
 
 def test_run_state_cap_maps_to_exit_three(tmp_path, capsys, monkeypatch):
-    import pglb.cli as cli
-    from pglb import compute
-    from pglb.extraction import compile_program
-    from pglb.interaction import walk
-
-    def capped_trace(program, inputs, aux_count):
-        steps = []
-        walk(compile_program(program), 0, len(inputs), aux_count, max_states=50, steps=steps, max_steps=10_000)
-        return steps
-
-    monkeypatch.setattr(cli, "compute", lambda p, i, a: compute(p, i, a, max_states=50))
-    monkeypatch.setattr(cli, "trace", capped_trace)
+    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", 50)
     # Counts aux:1..aux:6 down through all 64 assignments before replying f.
     path = write(tmp_path, "count.pga", "\n".join(
         f"-aux:{i}.get; #3; aux:{i}.set:f; #{3 if i == 6 else 5}; aux:{i}.set:t" for i in range(1, 7)

@@ -48,7 +48,7 @@ from pglb import (
     trace,
     use_apply,
 )
-from pglb.extraction import BANK_AUX, M_SET_F, M_SET_T, compile_program
+from pglb.extraction import BANK_AUX, BANK_IN, BANK_NONE, M_SET_F, M_SET_T, compile_program
 from pglb.interaction import DEFAULT_STATE_CAP, reply_sets, walk
 from thelpers import loop_free, reference_compile_program
 
@@ -160,20 +160,28 @@ def test_compile_program_matches_the_reference(program):
             reference = reference_compile_program(sequence, start)
             assert where(compiled.entry(start)) == reference["position"][reference["root"]]
         position = reference["position"]
-        # An aux row holds its index's rank among the aux indices above 0 the program names.
+        # A register row holds its register's bit: i-1 for in:i, and r-1 for the aux index of rank r
+        # among the aux indices above 0 the program names. No run serves aux:0.
         named = sorted({i for b, i in zip(reference["bank"], reference["index"]) if b == BANK_AUX and i > 0})
         assert compiled.aux_named == tuple(named)
+
+        def bit(bank, index):
+            if bank == BANK_AUX:
+                return (BANK_AUX, named.index(index)) if index else (BANK_NONE, 0)
+            return (bank, index - 1) if bank == BANK_IN else (bank, index)
+
         for state, p in enumerate(position[:-2]):
             kind, bank, index, method, action, on_t, on_f = rows[p]
             expected = [reference[name][state] for name in ("kind", "bank", "index", "method", "action")]
-            if expected[1] == BANK_AUX and expected[2] > 0:
-                expected[2] = named.index(expected[2]) + 1
+            expected[1:3] = bit(*expected[1:3])
             assert (kind, bank, index, method, action) == tuple(expected)
             assert where(landing[p + on_t]) == position[reference["then_state"][state]]
             assert where(landing[p + on_f]) == position[reference["else_state"][state]]
         assert compiled.states == reference["exit_state"]
         assert compiled.written == {
-            b for b, m in zip(reference["bank"], reference["method"]) if m in (M_SET_T, M_SET_F)
+            bit(b, i)[0]
+            for b, i, m in zip(reference["bank"], reference["index"], reference["method"])
+            if m in (M_SET_T, M_SET_F)
         }
         assert compiled.acyclic is loop_free(sequence)
 
@@ -187,10 +195,12 @@ loop_free_programs = st.lists(
 
 def _outcome(program, inputs, aux_count, max_states):
     """Reply and trace records of one walk, or the exception it raised."""
-    packed = sum(1 << i for i, b in enumerate(inputs, 1) if b)
+    packed = sum(1 << i for i, b in enumerate(inputs) if b)
     steps = []
     try:
-        answer = walk(program, packed, len(inputs), aux_count, max_states, steps, 10_000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("pglb.interaction.DEFAULT_STATE_CAP", max_states)
+            answer = walk(program, packed, len(inputs), aux_count, steps)
     except StateSpaceCapExceeded as exc:
         return type(exc), str(exc)
     return answer, steps
@@ -234,7 +244,7 @@ def test_reply_sets_match_a_walk_per_input(body, input_count, aux_count, extra, 
     compiled = compile_program(InstructionSequence(tuple(body)))
     walked = {Reply.T: 0, Reply.F: 0, Reply.D: 0}
     for j in range(1 << input_count):
-        walked[walk(compiled, j << 1, input_count, aux_count)] |= 1 << j
+        walked[walk(compiled, j, input_count, aux_count)] |= 1 << j
     assert reply_sets(compiled, input_count, aux_count) == (walked[Reply.T], walked[Reply.F], walked[Reply.D])
     at = data.draw(st.integers(0, len(body)))
     changed = InstructionSequence(tuple(body[:at]) + (extra,) + tuple(body[at:]))

@@ -219,45 +219,48 @@ def test_projection_distributes_over_use():
         assert left == right
 
 
-def test_use_respects_state_cap():
+def test_use_respects_state_cap(monkeypatch):
     thread = extract(parse(r"p.set:f; p.set:t; \#2"))
     family = _named_family({"p": Reply.T})
+    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", 1)
     with pytest.raises(StateSpaceCapExceeded):
-        use_apply(thread, family, max_states=1)
+        use_apply(thread, family)
     # Generous cap: fine, and the loop never terminates.
-    assert reply(use_apply(thread, family, max_states=100), ServiceFamily()) is Reply.D
+    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", 100)
+    assert reply(use_apply(thread, family), ServiceFamily()) is Reply.D
 
 
 def test_trace_of_trivial_program():
-    steps = trace(parse("!t"), [], 0, 10)
+    steps = trace(parse("!t"), [], 0)
     assert len(steps) == 1
     assert steps[0].kind == "terminate" and steps[0].reply is Reply.T
 
 
 def test_trace_of_single_test():
-    steps = trace(parse("+in:1.get; !t; !f"), [False], 0, 10)
+    steps = trace(parse("+in:1.get; !t; !f"), [False], 0)
     assert [s.kind for s in steps] == ["action", "terminate"]
     assert steps[0].action == "in:1.get" and steps[0].reply is Reply.F
     assert steps[1].reply is Reply.F
 
 
-def test_trace_truncates_with_marker():
+def test_trace_truncates_with_marker(monkeypatch):
     from pglb import gen_3sat
 
     # An unsatisfiable instance drives a long walk; cut it off early.
     unsat = [True] + [False] * 6 + [True]
-    steps = trace(gen_3sat(1), unsat, 1, 5)
+    monkeypatch.setattr("pglb.interaction.TRACE_LIMIT", 5)
+    steps = trace(gen_3sat(1), unsat, 1)
     assert len(steps) == 6
     assert steps[-1].kind == "truncated"
 
 
 def test_trace_reports_missing_service():
-    steps = trace(parse("+x.get; !t; !f"), [], 0, 10)
+    steps = trace(parse("+x.get; !t; !f"), [], 0)
     assert steps[-1].kind == "no-service" and steps[-1].reply is Reply.D
 
 
 def test_trace_detects_divergence():
-    steps = trace(parse(r"in:1.get; \#1"), [True], 0, 100)
+    steps = trace(parse(r"in:1.get; \#1"), [True], 0)
     assert steps[-1].kind == "divergent"
 
 
@@ -272,7 +275,7 @@ def test_trace_agrees_with_compute():
         (parse("#0"), [], 0),
     ]
     for prog, inputs, aux in programs:
-        steps = trace(prog, inputs, aux, 1000)
+        steps = trace(prog, inputs, aux)
         final = steps[-1]
         assert final.reply is compute(prog, inputs, aux)
 
@@ -285,7 +288,7 @@ def _counter(k: int):
     return InstructionSequence(body + (BwdJump(len(body)),))
 
 
-def test_state_cap_bounds_the_run_not_the_product():
+def test_state_cap_bounds_the_run_not_the_product(monkeypatch):
     from pglb import compile_circuit, eval_circuit, parse_netlist, register_family
     import itertools
 
@@ -297,24 +300,27 @@ def test_state_cap_bounds_the_run_not_the_product():
     # A loop-free run visits at most one configuration per instruction.
     cap = len(program)
     assert len(use_apply(extract(program), use_family).states) > cap
+    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", cap)
     with pytest.raises(StateSpaceCapExceeded):
-        use_apply(extract(program), use_family, max_states=cap)
+        use_apply(extract(program), use_family)
     for bits in itertools.product((True, False), repeat=3):
         expected = Reply.of(eval_circuit(circuit, bits))
-        assert compute(program, list(bits), 5, max_states=cap) is expected
+        assert compute(program, list(bits), 5) is expected
 
 
-def test_state_cap_still_stops_a_long_run():
+def test_state_cap_still_stops_a_long_run(monkeypatch):
     counter = _counter(6)
     assert compute(counter, [], 6) is Reply.F
+    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", 50)
     with pytest.raises(StateSpaceCapExceeded):
-        compute(counter, [], 6, max_states=50)
+        compute(counter, [], 6)
     with pytest.raises(StateSpaceCapExceeded):
-        walk(compile_program(counter), 0, 0, 6, max_states=50, steps=[], max_steps=10_000)
+        walk(compile_program(counter), 0, 0, 6, steps=[])
 
 
-def test_truncated_trace_carries_the_reply_of_the_whole_run():
-    steps = trace(_counter(6), [], 6, max_steps=20)
+def test_truncated_trace_carries_the_reply_of_the_whole_run(monkeypatch):
+    monkeypatch.setattr("pglb.interaction.TRACE_LIMIT", 20)
+    steps = trace(_counter(6), [], 6)
     assert len(steps) == 21
     assert steps[-1].kind == "truncated" and str(steps[-1]) == "truncated (after 20 steps)"
     assert steps[-1].reply is Reply.F

@@ -90,6 +90,11 @@ def test_parse_errors_carry_positions():
     for text in ("a; +#1", r"a; -\#2", "a; # 1"):  # a jump takes no sign and no space
         with pytest.raises(ParseError, match="^1:4: "):
             parse(text)
+    # A number is refused where it is written once it has more digits than int() converts by default.
+    for head, tail in (("#", ""), ("\\#", ""), ("+in:", ".get"), ("aux:", ".set:f")):
+        with pytest.raises(ParseError, match="^1:4: .* has more than 4300 digits$"):
+            parse(f"a; {head}{'9' * 4301}{tail}")
+        assert len(parse(f"a; {head}{'9' * 4300}{tail}")) == 2
 
 
 def test_a_token_is_one_shared_instruction_however_it_is_spaced():

@@ -145,6 +145,21 @@ def test_dimacs_rejects_short_clauses_and_bad_counts():
         parse_dimacs("p cnf 1 1\n1 1 2 0\n")
     with pytest.raises(ParseError):
         parse_dimacs("1 1 1 0\n")
+    # int() would take each of these fields; DIMACS numbers are ASCII digits, a literal's after one '-'.
+    for header in ("p cnf 1_0 1", "p cnf \uff13 1", "p cnf -3 1", "p cnf 1 +1"):
+        with pytest.raises(ParseError, match="^1: bad (variable|clause) count "):
+            parse_dimacs(f"{header}\n1 1 1 0\n")
+    for literal in ("\u0663", "+1", "1_0", "-", "--1"):
+        with pytest.raises(ParseError, match="^3: bad literal "):
+            parse_dimacs(f"p cnf 1 2\n1 1 1 0\n1 1 {literal} 0\n")
+    with pytest.raises(ParseError, match="^1: variable count has too many digits$"):
+        parse_dimacs(f"p cnf {'9' * 5000} 1\n1 1 1 0\n")
+    with pytest.raises(ParseError, match="^2: literal has too many digits$"):
+        parse_dimacs(f"p cnf 1 1\n-{'1' * 5000} 1 1 0\n")
+    # Clause errors carry the line of the 0 that ends the clause.
+    with pytest.raises(ParseError, match="^4: variable index exceeds declared count 1$"):
+        parse_dimacs("p cnf 1 2\n1 1 1 0\n1 1\n2 0\n")
+    assert parse_dimacs("p cnf 01 1\n-1 -01 1 0\n") == CnfFormula(1, frozenset({ClauseShape(1, 1, 1, 4)}))
 
 
 def test_check_snippet_shapes():
@@ -172,19 +187,20 @@ def test_next_snippet_shape():
 
 def test_trace_shows_both_assignments_for_one_variable_contradiction():
     contradiction = CnfFormula(1, frozenset({ClauseShape(1, 1, 1, 1), ClauseShape(1, 1, 1, 8)}))
-    steps = trace(gen_3sat(1), list(encode_cnf(contradiction)), 1, max_steps=10_000)
+    steps = trace(gen_3sat(1), list(encode_cnf(contradiction)), 1)
     passes = sum(1 for s in steps if s.kind == "action" and s.position == 1)
     assert passes == 2
     assert steps[-1].kind == "terminate" and steps[-1].reply.value == "f"
 
 
-def test_generator_enumerates_all_assignments():
+def test_generator_enumerates_all_assignments(monkeypatch):
     # Both polarities of v1: unsatisfiable whatever the assignment, so the
     # generator must run through all four assignments over two variables.
     k = 2
     clauses = frozenset({ClauseShape(1, 1, 1, 1), ClauseShape(1, 1, 1, 8)})
     bits = list(encode_cnf(CnfFormula(k, clauses)))
-    steps = trace(gen_3sat(k), bits, k, max_steps=100_000)
+    monkeypatch.setattr("pglb.interaction.TRACE_LIMIT", 100_000)
+    steps = trace(gen_3sat(k), bits, k)
     assert steps[-1].kind == "terminate" and steps[-1].reply.value == "f"
     passes = sum(1 for s in steps if s.kind == "action" and s.position == 1)
     assert passes == 2**k

@@ -215,3 +215,8 @@ def test_netlist_errors():
         parse_netlist("inputs \u00b2\ng1 = NOT x1\n")
     with pytest.raises(ParseError, match="^2: "):
         parse_netlist("inputs 1\ng1 = NOT x\u00b2\n")
+    # More digits than int() converts by default: a parse error with its line.
+    with pytest.raises(ParseError, match="^1: input count has too many digits$"):
+        parse_netlist(f"inputs {'9' * 5000}\ng1 = NOT x1\n")
+    with pytest.raises(ParseError, match="^2: operand has too many digits$"):
+        parse_netlist(f"inputs 1\ng1 = NOT x{'1' * 5000}\n")
