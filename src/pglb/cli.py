@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import count
 from pathlib import Path
 
 from .errors import InfeasibleArityError, ParseError, StateSpaceCapExceeded
 from .extraction import extract
 from .interaction import DEFAULT_STATE_CAP, compute, trace
-from .isa import InstructionSequence, parse, render
+from .isa import MAX_DIGITS, InstructionSequence, parse, render
 from .oracle import equivalence_check
 from .sat3 import (
     clause_count,
@@ -171,9 +172,11 @@ def _cmd_lengths(args) -> int:
     return EXIT_OK
 
 
-# lengths prints exact integers; the loop-free length at k=13 has 5,291 digits, past Python's
-# default limit of 4,300 for converting an int to text.
-MAX_LENGTHS_K = 12
+# lengths prints exact integers, each of at most MAX_DIGITS digits when the interpreter bounds
+# them. Under its default of 4,300 the top k is 12: the loop-free length at k=13 has 5,291 digits.
+MAX_LENGTHS_K = (
+    next(k for k in count(1) if truth_table_length(clause_count(k + 1)) >= 10**MAX_DIGITS) if MAX_DIGITS else None
+)
 
 
 def _int_in(low: int, high: int | None = None):
@@ -244,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
 
     lengths = commands.add_parser("lengths", help="loop-free vs backward-jump program sizes")
-    lengths.add_argument("--max-k", type=_int_in(1, MAX_LENGTHS_K), default=4, help=f"1..{MAX_LENGTHS_K}")
+    lengths.add_argument("--max-k", type=_int_in(1, MAX_LENGTHS_K), default=4, help=f"1..{MAX_LENGTHS_K or ''}")
     lengths.set_defaults(func=_cmd_lengths)
 
     return parser

@@ -20,7 +20,7 @@ def parse_decimal(field: str, what: str, line: int, signed: bool = False) -> int
         raise ParseError(f"bad {what} {field!r}", line)
     try:
         return int(field)
-    except ValueError:  # more digits than int() converts by default
+    except ValueError:  # more digits than int() converts
         raise ParseError(f"{what} has too many digits", line) from None
 
 

@@ -12,8 +12,8 @@ on :func:`walk`, one loop over a compiled program whose register files are
 two packed ints; ``compute``, ``trace`` and the oracle's equivalence sweep
 all call it, so a run costs the steps it takes, not the size of the
 product of thread and registers. :func:`reply_sets` gives the replies of
-all inputs of a loop-free program that writes no register in one pass over
-its states, with sets of inputs held as bit masks.
+all inputs of a loop-free program in one pass over its states, with sets of
+inputs, and the inputs whose register holds t, as bit masks.
 """
 
 from __future__ import annotations
@@ -202,12 +202,6 @@ def walk(
     it. Raises :class:`StateSpaceCapExceeded` when the run visits more than
     ``DEFAULT_STATE_CAP`` configurations.
 
-    When the program is ``acyclic`` and has at most ``DEFAULT_STATE_CAP``
-    non-jump positions, the walk keeps no set of configurations and checks
-    no cap: every step moves to a higher row, so no configuration can
-    repeat, and the run visits at most one configuration per non-jump
-    position, within the cap. The result is the same as with the set.
-
     With a ``steps`` list, one :class:`TraceStep` per visited row is
     appended until ``TRACE_LIMIT`` records, then a truncation marker; the
     walk goes on to the reply either way.
@@ -224,7 +218,6 @@ def walk(
     aux = (1 << served) - 1
     seen: set[object] = set()
     max_states, max_steps = DEFAULT_STATE_CAP, TRACE_LIMIT
-    tracking = not (program.acyclic and program.states <= max_states)
     packed_key = BANK_IN not in program.written
     shift = len(rows).bit_length()
     state = program.entry()
@@ -238,15 +231,14 @@ def walk(
             if recording:
                 log.append(_step(program, state, "terminate", answer))
             return answer
-        if tracking:
-            key = aux << shift | state if packed_key else (state, aux, inputs)
-            if key in seen:
-                if recording:
-                    log.append(TraceStep("divergent", position=state, note="configuration cycle", reply=Reply.D))
-                return Reply.D
-            seen.add(key)
-            if len(seen) > max_states:
-                raise StateSpaceCapExceeded(f"a run visited more than {max_states} configurations")
+        key = aux << shift | state if packed_key else (state, aux, inputs)
+        if key in seen:
+            if recording:
+                log.append(TraceStep("divergent", position=state, note="configuration cycle", reply=Reply.D))
+            return Reply.D
+        seen.add(key)
+        if len(seen) > max_states:
+            raise StateSpaceCapExceeded(f"a run visited more than {max_states} configurations")
         if b == BANK_AUX and i < served:
             regs = aux
         elif b == BANK_IN and i < input_count:
@@ -287,35 +279,33 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
     Bit j of each mask stands for the input at table index j, which
     :func:`walk` takes as its ``inputs``. The three masks split all
     2^input_count inputs. Applies when the program is ``acyclic``, has at
-    most ``DEFAULT_STATE_CAP`` non-jump positions (so the walk keeps no
-    configuration set and cannot trip its cap), writes no register, and its
-    non-jump positions times 2^input_count stay within
+    most ``DEFAULT_STATE_CAP`` non-jump positions (so no run can trip the
+    walk's cap), and its non-jump positions times 2^input_count stay within
     ``REPLY_SETS_BIT_BUDGET``; returns None otherwise.
 
     One pass visits the rows in index order from the root, which is a
     topological order, since every edge of an acyclic program leads to a
     higher row. ``reach[r]`` holds the inputs whose run reaches row r; no
-    run reaches a jump position. The rules are :func:`walk`'s, applied to a
-    set of inputs at once: a served ``get`` on in:i splits the set by bit
-    i-1 of the table index, a served ``get`` on aux goes to the then-branch
-    (aux registers start at t and nothing writes them), tau goes to the
-    then-branch, and everything else the walk answers d for goes to the d
-    set.
+    run reaches a jump position. Each served register is held as the mask of
+    the inputs whose run has it at t: in:i starts as bit i-1 of the table
+    index, an aux register as all inputs. The rules are :func:`walk`'s,
+    applied to a set of inputs at once. This is exact: a run that reaches
+    row r has visited only lower rows, which are done, and a row changes a
+    register's bits only for the runs that reach it. The register masks
+    take at most (input_count + aux registers named) * 2^input_count bits;
+    the aux part is within the budget, as each named register has a row.
     """
     if aux_count < 0:
         raise ValueError("aux_count must be >= 0")
-    if (
-        not program.acyclic
-        or program.states > DEFAULT_STATE_CAP
-        or program.states << input_count > REPLY_SETS_BIT_BUDGET
-        or program.written
-    ):
+    states = program.states
+    if not program.acyclic or states > DEFAULT_STATE_CAP or states << input_count > REPLY_SETS_BIT_BUDGET:
         return None
     rows, landing, root = program.rows, program.landing, program.entry()
     served = bisect_right(program.aux_named, aux_count)
-    masks = input_masks(input_count)
+    everyone = (1 << (1 << input_count)) - 1
+    ins, auxes = input_masks(input_count), [everyone] * served
     reach = [0] * len(rows)
-    reach[root] = (1 << (1 << input_count)) - 1
+    reach[root] = everyone
     finals = [0, 0, 0]  # the t, f and d sets, by op kind from OP_TRUE on
     for row in range(root, len(rows)):
         # Every edge leads to a higher row, so this row's set is complete
@@ -328,16 +318,24 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
             finals[op - OP_TRUE] |= here
             continue
         if b == BANK_AUX and i < served:
-            on = here
+            regs = auxes
         elif b == BANK_IN and i < input_count:
-            on = here & masks[i]
+            regs = ins
         elif op == OP_TAU:
             reach[landing[row + on_t]] |= here
             continue
         else:
             finals[2] |= here
             continue
-        if m != M_GET:
+        if m == M_GET:
+            on = here & regs[i]
+        elif m == M_SET_T:
+            regs[i] |= here
+            on = here
+        elif m == M_SET_F:
+            regs[i] &= ~here
+            on = here
+        else:
             finals[2] |= here
             continue
         reach[landing[row + on_t]] |= on

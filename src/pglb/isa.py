@@ -17,6 +17,7 @@ named service (e.g. ``in:3.get``, ``aux:1.set:f``). The textual form uses
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -28,11 +29,12 @@ GET = "get"
 SET_T = "set:t"
 SET_F = "set:f"
 
-# A number in a program has at most as many digits as int() converts by default.
-_MAX_DIGITS = 4300
+# A number in a program has at most as many digits as int() converts in this
+# interpreter (sys.set_int_max_str_digits); 0, as there, means no bound.
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _IDENT = r"[A-Za-z0-9_]+"
 _METHOD = rf"{_IDENT}(?::{_IDENT})*"
-_POSITIVE = rf"[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}"
+_POSITIVE = rf"[1-9][0-9]{{0,{MAX_DIGITS - 1}}}" if MAX_DIGITS else "[1-9][0-9]*"
 _NAT = rf"(?:0|{_POSITIVE})"
 _IDENT_RE = re.compile(_IDENT + r"\Z")
 _METHOD_RE = re.compile(_METHOD + r"\Z")
@@ -215,8 +217,8 @@ def _parse_nat(digits: str, what: str, line: int, column: int) -> int:
     """The natural number ``digits`` spells, or a :class:`ParseError` naming ``what``."""
     if _NAT_RE.match(digits):
         return int(digits)
-    if len(digits) > _MAX_DIGITS and _DIGITS_RE.match(digits):
-        raise ParseError(f"{what} has more than {_MAX_DIGITS} digits", line, column)
+    if MAX_DIGITS and len(digits) > MAX_DIGITS and _DIGITS_RE.match(digits):
+        raise ParseError(f"{what} has more than {MAX_DIGITS} digits", line, column)
     raise ParseError(f"bad {what} {digits!r}", line, column)
 
 

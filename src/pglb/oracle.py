@@ -2,12 +2,12 @@
 
 The references take none of the program's code paths: a circuit is
 evaluated gate by gate and a table is looked up. The program side of an
-equivalence sweep is compiled once. A program without backward jumps or
-register writes, small enough for the pass's bit budget, gets the replies
-of all inputs from one pass over its states
-(:func:`pglb.interaction.reply_sets`); any other is walked once per input
-(:func:`pglb.interaction.walk`). A program counts as correct only
-when its runs agree with the reference on every input.
+equivalence sweep is compiled once. A program without backward jumps,
+small enough for the pass's bit budget, gets the replies of all inputs
+from one pass over its states (:func:`pglb.interaction.reply_sets`); any
+other is walked once per input (:func:`pglb.interaction.walk`). A program
+counts as correct only when its runs agree with the reference on every
+input.
 """
 
 from __future__ import annotations

@@ -275,9 +275,12 @@ OVERSIZED = [
     # --aux holds only the aux registers the program names.
     pytest.param(["run", "{file}", "--in", "t", "--aux", "1" + "0" * 20], AUX_READER, 0, "t\n", id="run-aux1e20"),
     pytest.param(["run", "{file}", "--in", "t", "--aux", "1" + "0" * 9], AUX_READER, 0, "t\n", id="run-aux1e9"),
-    # A register write sends verify to one walk per input.
+    # verify's one pass holds a mask for each aux register the program names; a backward jump
+    # sends it to one walk per input, which packs only those registers.
     pytest.param(["verify", "{file}", "--tt", "{table}", "--aux", "1" + "0" * 20], AUX_WRITER, 0,
                  "equivalent on all 2 inputs\n", id="verify-aux1e20"),
+    pytest.param(["verify", "{file}", "--tt", "{table}", "--aux", "1" + "0" * 20], AUX_WRITER + "\\#1\n", 0,
+                 "equivalent on all 2 inputs\n", id="verify-aux1e20-walked"),
     # A large aux index costs no more than a small one: registers are numbered by rank.
     pytest.param(["run", "{file}", "--aux", BIG_INDEX], AUX_AT.format(BIG_INDEX), 0, "f\n", id="run-aux-index1e10"),
     pytest.param(["run", "{file}", "--aux", "1" + "0" * 28], AUX_AT.format("1" + "0" * 28), 0, "f\n",
@@ -310,6 +313,25 @@ def test_oversized_numeric_arguments_are_refused_quickly(tmp_path, argv, text, e
     )
     assert (done.returncode, done.stdout) == (expected, stdout), done.stderr
     assert time.perf_counter() - started < 5.0
+
+
+def test_digit_limits_follow_the_interpreter(tmp_path):
+    # Under a lower limit than the default, program numbers and lengths are refused at that limit.
+    env = dict(os.environ, PYTHONPATH=str(Path(pglb.__file__).parents[1]), PYTHONINTMAXSTRDIGITS="640")
+
+    def pglb_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "pglb.cli", *argv], capture_output=True, text=True, env=env,
+                              timeout=20)
+
+    done = pglb_cli("fmt", write(tmp_path, "long.pga", "a; #" + "9" * 1000 + "\n"))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "parse error: 1:4: jump length has more than 640 digits\n"
+    )
+    done = pglb_cli("lengths", "--max-k", "7")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "--max-k" in done.stderr
+    done = pglb_cli("lengths", "--max-k", "6")
+    assert done.returncode == 0 and len(done.stdout.splitlines()) == 7
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

@@ -6,15 +6,13 @@ register indices out of range, jump cycles, backward jumps that leave the
 program and writes to input registers. The reference reply is the
 specification ``reply(use_apply(extract(p), aux family), input family)``.
 The compiler is checked field for field against its earlier definition, kept
-in ``thelpers`` as the reference, at every start position, and a loop-free
-walk without a configuration set against the same walk with one. The
-one-pass reply sets of a loop-free program that writes no register are
-checked against a walk per input, and the equivalence sweep against its
-per-input definition. Rewriting a jump as one jump straight to where its
-chain lands leaves the extracted thread bisimilar.
+in ``thelpers`` as the reference, at every start position. The one-pass
+reply sets of a loop-free program, register writes included, are checked
+against a walk per input, and the equivalence sweep against its per-input
+definition. Rewriting a jump as one jump straight to where its chain lands
+leaves the extracted thread bisimilar.
 """
 
-import dataclasses
 import random
 import tracemalloc
 
@@ -32,7 +30,6 @@ from pglb import (
     PartialBooleanFunction,
     PosTest,
     Reply,
-    StateSpaceCapExceeded,
     TAU,
     TERM_F,
     TERM_T,
@@ -49,7 +46,7 @@ from pglb import (
     use_apply,
 )
 from pglb.extraction import BANK_AUX, BANK_IN, BANK_NONE, M_SET_F, M_SET_T, compile_program
-from pglb.interaction import DEFAULT_STATE_CAP, reply_sets, walk
+from pglb.interaction import reply_sets, walk
 from thelpers import loop_free, reference_compile_program
 
 FOCI = (
@@ -186,68 +183,33 @@ def test_compile_program_matches_the_reference(program):
         assert compiled.acyclic is loop_free(sequence)
 
 
-loop_free_programs = st.lists(
-    st.one_of(instructions, looping_instructions).filter(lambda u: not isinstance(u, BwdJump)),
-    min_size=1,
-    max_size=10,
-).map(lambda body: InstructionSequence(tuple(body)))
-
-
-def _outcome(program, inputs, aux_count, max_states):
-    """Reply and trace records of one walk, or the exception it raised."""
-    packed = sum(1 << i for i, b in enumerate(inputs) if b)
-    steps = []
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("pglb.interaction.DEFAULT_STATE_CAP", max_states)
-            answer = walk(program, packed, len(inputs), aux_count, steps)
-    except StateSpaceCapExceeded as exc:
-        return type(exc), str(exc)
-    return answer, steps
-
-
-@PROPERTY_SETTINGS
-@given(loop_free_programs, input_vectors, aux_counts, st.integers(1, 6))
-def test_a_loop_free_walk_keeps_no_configuration_set(program, inputs, aux_count, max_states):
-    compiled = compile_program(program)
-    assert compiled.acyclic
-    tracked = dataclasses.replace(compiled, acyclic=False)
-    for cap in (max_states, DEFAULT_STATE_CAP):
-        assert _outcome(compiled, inputs, aux_count, cap) == _outcome(tracked, inputs, aux_count, cap)
-
-
-def _writes(instruction) -> bool:
-    return isinstance(instruction, (Basic, PosTest, NegTest)) and instruction.action.name in ("set:t", "set:f")
-
-
-# Without backward jumps and register writes, but with flip, aux:0, the named focus and tau.
-read_only_loop_free_bodies = st.lists(
+# Without backward jumps, but with register writes, flip, aux:0, a register
+# past --aux or the inputs, the named focus and tau.
+WIDE_FOCI = FOCI + [Focus.input(5), Focus.input(6), Focus.aux(7)]
+wide_actions = st.one_of(st.builds(Action, st.sampled_from(METHODS), st.sampled_from(WIDE_FOCI)), st.just(TAU))
+loop_free_bodies = st.lists(
     st.one_of(
-        instructions.filter(lambda u: not isinstance(u, BwdJump) and not _writes(u)),
-        st.sampled_from((Basic(TAU), PosTest(TAU), NegTest(TAU))),
+        st.builds(Basic, wide_actions),
+        st.builds(PosTest, wide_actions),
+        st.builds(NegTest, wide_actions),
+        st.builds(FwdJump, st.integers(0, 5)),
+        st.sampled_from((TERM_T, TERM_F)),
     ),
     min_size=1,
     max_size=10,
 )
-writes = st.builds(Action, st.sampled_from(("set:t", "set:f")), st.sampled_from(FOCI))
-loops_or_writes = st.one_of(
-    st.builds(BwdJump, st.integers(0, 8)),
-    st.builds(Basic, writes),
-    st.builds(PosTest, writes),
-    st.builds(NegTest, writes),
-)
 
 
 @PROPERTY_SETTINGS
-@given(read_only_loop_free_bodies, st.integers(0, 5), aux_counts, loops_or_writes, st.data())
-def test_reply_sets_match_a_walk_per_input(body, input_count, aux_count, extra, data):
+@given(loop_free_bodies, st.integers(0, 5), st.sampled_from((0, 1, 2, 3, 7)), st.integers(0, 8), st.data())
+def test_reply_sets_match_a_walk_per_input(body, input_count, aux_count, back, data):
     compiled = compile_program(InstructionSequence(tuple(body)))
     walked = {Reply.T: 0, Reply.F: 0, Reply.D: 0}
     for j in range(1 << input_count):
         walked[walk(compiled, j, input_count, aux_count)] |= 1 << j
     assert reply_sets(compiled, input_count, aux_count) == (walked[Reply.T], walked[Reply.F], walked[Reply.D])
     at = data.draw(st.integers(0, len(body)))
-    changed = InstructionSequence(tuple(body[:at]) + (extra,) + tuple(body[at:]))
+    changed = InstructionSequence(tuple(body[:at]) + (BwdJump(back),) + tuple(body[at:]))
     assert reply_sets(compile_program(changed), input_count, aux_count) is None
 
 

@@ -1,6 +1,7 @@
 """Direct evaluators and the program-vs-table equivalence sweep."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,11 +16,14 @@ from pglb import (
     OR,
     PartialBooleanFunction,
     Reply,
+    compile_circuit,
     compile_truth_table,
     equivalence_check,
     eval_circuit,
     parse,
 )
+from pglb.synthesis import input_vector
+from thelpers import random_circuit
 
 
 def test_eval_single_gates():
@@ -66,3 +70,25 @@ def test_equivalence_check_arity_guard():
     oversized = types.SimpleNamespace(arity=21)  # guard fires before the table is touched
     with pytest.raises(InfeasibleArityError):
         equivalence_check(parse("!t"), oversized, 0)
+
+
+def test_circuit_programs_are_verified_in_one_pass(monkeypatch):
+    # A circuit program writes one aux register per gate; its sweep walks no input on its own.
+    def no_walk(*_args):
+        raise AssertionError("an input was walked on its own")
+
+    monkeypatch.setattr("pglb.oracle.walk", no_walk)
+    rng = random.Random(47)
+    for _ in range(60):
+        circuit = random_circuit(rng, max_inputs=8, max_gates=20)
+        arity = circuit.input_count
+        values = [eval_circuit(circuit, input_vector(j, arity)) for j in range(1 << arity)]
+        entries = list(values)
+        flips = sorted(rng.sample(range(1 << arity), rng.randint(0, min(3, 1 << arity))))
+        for j in flips:
+            entries[j] = rng.choice((not values[j], None))
+        fn = PartialBooleanFunction(arity, tuple(entries))
+        report = equivalence_check(compile_circuit(circuit), fn, len(circuit.gates))
+        assert [(m.inputs, m.got) for m in report.mismatches] == [
+            (input_vector(j, arity), Reply.of(values[j])) for j in flips
+        ]

@@ -32,22 +32,7 @@ from pglb import (
     parse_truth_table,
     render,
 )
-from thelpers import program_foci
-
-
-def random_circuit(rng: random.Random, max_inputs: int = 6, max_gates: int = 10) -> Circuit:
-    inputs = rng.randint(1, max_inputs)
-    count = rng.randint(1, max_gates)
-    gates = []
-    for number in range(1, count + 1):
-        def operand():
-            if number > 1 and rng.random() < 0.5:
-                return GateRef(rng.randint(1, number - 1))
-            return InputRef(rng.randint(1, inputs))
-
-        op = rng.choice((NOT, AND, OR))
-        gates.append(Gate(op, operand()) if op == NOT else Gate(op, operand(), operand()))
-    return Circuit(inputs, tuple(gates))
+from thelpers import program_foci, random_circuit
 
 
 def all_tables(arity: int):

@@ -5,16 +5,23 @@ from __future__ import annotations
 import random
 
 from pglb import (
+    AND,
     Action,
     Basic,
     BooleanRegister,
     BwdJump,
+    Circuit,
     DEADLOCK,
     Focus,
     FwdJump,
     GET,
+    Gate,
+    GateRef,
+    InputRef,
     InstructionSequence,
+    NOT,
     NegTest,
+    OR,
     PartialBooleanFunction,
     PosTest,
     PostNode,
@@ -75,6 +82,21 @@ def random_thread(rng: random.Random, max_states: int = 5, actions=FOCUSED_ACTIO
     if not any(isinstance(l, PostNode) for l in labels):
         labels[0] = PostNode(rng.choice(actions), rng.randrange(size), rng.randrange(size))
     return RegularThread(tuple(labels), rng.randrange(size))
+
+
+def random_circuit(rng: random.Random, max_inputs: int = 6, max_gates: int = 10) -> Circuit:
+    inputs = rng.randint(1, max_inputs)
+    count = rng.randint(1, max_gates)
+    gates = []
+    for number in range(1, count + 1):
+        def operand():
+            if number > 1 and rng.random() < 0.5:
+                return GateRef(rng.randint(1, number - 1))
+            return InputRef(rng.randint(1, inputs))
+
+        op = rng.choice((NOT, AND, OR))
+        gates.append(Gate(op, operand()) if op == NOT else Gate(op, operand(), operand()))
+    return Circuit(inputs, tuple(gates))
 
 
 def leaf(label) -> RegularThread:
