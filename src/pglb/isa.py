@@ -11,7 +11,9 @@ A program is a non-empty, 1-indexed sequence of primitive instructions:
 
 Actions are either bare symbols or ``focus.method`` requests addressed to a
 named service (e.g. ``in:3.get``, ``aux:1.set:f``). The textual form uses
-``;`` or newlines between instructions and ``//`` line comments.
+``;`` or newlines between instructions and ``//`` line comments. One
+pattern reads every token (:func:`_match_instruction`); a token it refuses
+is reported by its first malformed part (:func:`_refusal`).
 """
 
 from __future__ import annotations
@@ -213,58 +215,28 @@ def render(sequence: InstructionSequence) -> str:
     return "; ".join(parts)
 
 
-def _parse_nat(digits: str, what: str, line: int, column: int) -> int:
-    """The natural number ``digits`` spells, or a :class:`ParseError` naming ``what``."""
-    if _NAT_RE.match(digits):
-        return int(digits)
-    if MAX_DIGITS and len(digits) > MAX_DIGITS and _DIGITS_RE.match(digits):
-        raise ParseError(f"{what} has more than {MAX_DIGITS} digits", line, column)
-    raise ParseError(f"bad {what} {digits!r}", line, column)
-
-
-def _parse_focus(text: str, line: int, column: int) -> Focus:
-    for kind in ("in", "aux"):
-        head = kind + ":"
-        if text.startswith(head):
-            index = _parse_nat(text[len(head):], f"{kind} focus index", line, column)
-            if kind == "in" and index < 1:
-                raise ParseError("input focus index must be >= 1", line, column)
-            return Focus(kind, index=index)
-    if not _IDENT_RE.match(text):
-        raise ParseError(f"bad focus {text!r}", line, column)
-    return Focus.named(text)
-
-
-def _parse_action(text: str, line: int, column: int) -> Action:
-    if "." in text:
-        focus_text, method = text.split(".", 1)
-        focus = _parse_focus(focus_text, line, column)
-        if not _METHOD_RE.match(method):
-            raise ParseError(f"bad method {method!r}", line, column)
-        return Action(method, focus)
-    if text == "tau":
-        raise ParseError("'tau' is reserved for internal steps", line, column)
-    if not _IDENT_RE.match(text):
-        raise ParseError(f"bad action {text!r}", line, column)
-    return Action(text)
-
-
-def _parse_instruction(token: str, line: int, column: int) -> Instruction:
-    if token == "!t":
-        return TERM_T
-    if token == "!f":
-        return TERM_F
-    for head, ctor in (("\\#", BwdJump), ("#", FwdJump)):
-        if token.startswith(head):
-            return ctor(_parse_nat(token[len(head):], "jump length", line, column))
-    if token[0] in "+-":
-        ctor = PosTest if token[0] == "+" else NegTest
-        return ctor(_parse_action(token[1:].strip(), line, column))
-    return Basic(_parse_action(token, line, column))
+def _refusal(token: str) -> str:
+    """Why :func:`_match_instruction` refuses ``token``: the first part of it, in reading order, that is malformed."""
+    if token.startswith(("#", "\\#")):
+        what, number = "jump length", token.split("#", 1)[1]
+    else:
+        text = token[1:].strip() if token[0] in "+-" else token
+        focus, dot, method = text.partition(".")
+        if not dot:
+            return "'tau' is reserved for internal steps" if text == "tau" else f"bad action {text!r}"
+        kind, colon, number = focus.partition(":")
+        if not colon or kind not in ("in", "aux"):
+            return f"bad method {method!r}" if _IDENT_RE.match(focus) else f"bad focus {focus!r}"
+        if _NAT_RE.match(number):
+            return "input focus index must be >= 1" if number == "0" and kind == "in" else f"bad method {method!r}"
+        what = f"{kind} focus index"
+    if MAX_DIGITS and len(number) > MAX_DIGITS and _DIGITS_RE.match(number):
+        return f"{what} has more than {MAX_DIGITS} digits"
+    return f"bad {what} {number!r}"
 
 
 # The well-formed tokens of every instruction class but terminations: a jump, or an action
-# instruction. Only a token it does not match goes through _parse_instruction, which words the error.
+# instruction. Only a token it does not match goes through _refusal, which words the error.
 _TOKEN = re.compile(
     rf"(\\?)#({_NAT})|([+-]?)\s*(?:(?:in:({_POSITIVE})|aux:({_NAT})|({_IDENT}))\.({_METHOD})|({_IDENT}))"
 )
@@ -357,7 +329,7 @@ def parse(text: str) -> InstructionSequence:
                     # No earlier segment holds this token, or it would have failed there.
                     at = segments.index(segment)
                     column = sum(map(len, segments[:at])) + at + segment.index(token[0]) + 1
-                    instruction = _parse_instruction(token, lineno, column)
+                    raise ParseError(_refusal(token), lineno, column)
                 parsed[token] = instruction
             by_segment[segment] = instruction
         instructions.extend(filter(None, map(by_segment.__getitem__, segments)))

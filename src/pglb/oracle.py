@@ -5,9 +5,10 @@ evaluated gate by gate and a table is looked up. The program side of an
 equivalence sweep is compiled once. A program without backward jumps,
 small enough for the pass's bit budget, gets the replies of all inputs
 from one pass over its states (:func:`pglb.interaction.reply_sets`); any
-other is walked once per input (:func:`pglb.interaction.walk`). A program
-counts as correct only when its runs agree with the reference on every
-input.
+other is walked once per input (:func:`pglb.interaction.walk`). Either way
+the replies become three masks over table indices, the inputs replying t,
+f and d, and are compared with the table's three masks. A program counts
+as correct only when its runs agree with the reference on every input.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Sequence
 from .errors import InfeasibleArityError
 from .interaction import reply_sets, walk
 from .isa import InstructionSequence
+from .sat3 import encoding_to_text
 from .services import Reply
 from .synthesis import AND, Circuit, InputRef, NOT, PartialBooleanFunction, input_vector
 
@@ -50,7 +52,7 @@ class Mismatch:
     expected: Reply
 
     def __str__(self) -> str:
-        pattern = "".join("t" if b else "f" for b in self.inputs)
+        pattern = encoding_to_text(self.inputs)
         return f"input {pattern or '(none)'}: got {self.got}, expected {self.expected}"
 
 
@@ -70,12 +72,17 @@ class EquivalenceReport:
         return f"{len(self.mismatches)} mismatching input(s) out of {2 ** self.arity}"
 
 
-# The reply a table entry asks for: an undefined entry must come out as d.
-_EXPECTED = {True: Reply.T, False: Reply.F, None: Reply.D}
-# A table's entries as one character each, and the digits that pick out the entries asking for t and f.
-_ENTRY_CHAR = {True: "t", False: "f", None: "u"}
-_WANT_T = str.maketrans("tfu", "100")
-_WANT_F = str.maketrans("tfu", "010")
+# The reply a table entry asks for (an undefined entry must come out as d), and the digits that
+# pick out, in a string of one reply per input, the inputs of each reply.
+_ENTRY_REPLY = {True: "t", False: "f", None: "d"}
+_REPLY_DIGITS = tuple(str.maketrans("tfd", digits) for digits in ("100", "010", "001"))
+_REPLIES = (Reply.T, Reply.F, Reply.D)
+
+
+def _reply_masks(replies: str) -> tuple[int, ...]:
+    """The t, f and d masks of a string of one reply per input in table order: bit j for input j."""
+    backwards = replies[::-1]
+    return tuple(int(backwards.translate(digits), 2) for digits in _REPLY_DIGITS)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -103,23 +110,17 @@ def equivalence_check(
         raise InfeasibleArityError(f"sweep over 2^{fn.arity} inputs refused")
     program = sequence.compiled
     arity = fn.arity
-    sets = reply_sets(program, arity, aux_count)
-    if sets is None:
-        replies = ((j, walk(program, j, arity, aux_count)) for j in range(len(fn.entries)))
-    else:
-        digits = "".join(map(_ENTRY_CHAR.__getitem__, reversed(fn.entries)))
-        want_t = int(digits.translate(_WANT_T), 2)
-        want_f = int(digits.translate(_WANT_F), 2)
-        want_d = ((1 << len(fn.entries)) - 1) ^ want_t ^ want_f
-        # Only the inputs whose reply the table does not ask for; the three sets are disjoint.
-        replies = sorted(
-            (j, got)
-            for got, got_mask, want in zip((Reply.T, Reply.F, Reply.D), sets, (want_t, want_f, want_d))
-            for j in _set_bits(got_mask & ~want)
-        )
-    mismatches: list[Mismatch] = []
-    for j, got in replies:
-        expected = _EXPECTED[fn.entries[j]]
-        if got is not expected:
-            mismatches.append(Mismatch(input_vector(j, arity), got, expected))
-    return EquivalenceReport(fn.arity, aux_count, tuple(mismatches))
+    got = reply_sets(program, arity, aux_count)
+    if got is None:
+        got = _reply_masks("".join(str(walk(program, j, arity, aux_count)) for j in range(len(fn.entries))))
+    want = _reply_masks("".join(map(_ENTRY_REPLY.__getitem__, fn.entries)))
+    # Each input has one reply got and one wanted, so the off-diagonal pairs of masks hold every mismatch once.
+    found = sorted(
+        (j, got_reply, want_reply)
+        for got_reply, got_mask in zip(_REPLIES, got)
+        for want_reply, want_mask in zip(_REPLIES, want)
+        if got_reply is not want_reply
+        for j in _set_bits(got_mask & want_mask)
+    )
+    mismatches = tuple(Mismatch(input_vector(j, arity), g, e) for j, g, e in found)
+    return EquivalenceReport(arity, aux_count, mismatches)

@@ -144,20 +144,19 @@ def parse_dimacs(text: str) -> CnfFormula:
     tokens: list[tuple[str, int]] = []  # (token, line)
     header: tuple[int, int] | None = None
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("c"):
+        fields = line.split()
+        if not fields or fields[0].startswith("c"):
             continue
-        if line.startswith("p"):
+        if fields[0] == "p":
             if header is not None:
                 raise ParseError("duplicate header", lineno)
-            fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError("header must be 'p cnf <vars> <clauses>'", lineno)
             header = (
                 parse_decimal(fields[2], "variable count", lineno), parse_decimal(fields[3], "clause count", lineno)
             )
             continue
-        tokens.extend((token, lineno) for token in line.split())
+        tokens.extend((token, lineno) for token in fields)
     if header is None:
         raise ParseError("missing 'p cnf' header")
     k, expected = header

@@ -29,7 +29,7 @@ from .isa import (
     TERM_F,
     TERM_T,
 )
-from .sat3 import brute_sat, clause_count, decode
+from .sat3 import brute_sat, clause_count, decode, encoding_to_text
 
 
 def input_index(bits: Sequence[bool]) -> int:
@@ -292,18 +292,24 @@ def _read_table_columns(text: str) -> PartialBooleanFunction | None:
     return PartialBooleanFunction(arity, tuple(map(_ENTRY.__getitem__, values)))
 
 
+def _header_and_lines(text: str, keyword: str, what: str, usage: str) -> tuple[int, list[tuple[int, list[str]]]]:
+    """The count in a data file's header line ``<keyword> <count>`` and the fields of each later line.
+
+    Blank lines are skipped; every line keeps its physical 1-based number,
+    which errors name.
+    """
+    lines = [(lineno, fields) for lineno, line in enumerate(text.splitlines(), 1) if (fields := line.split())]
+    lineno, fields = lines[0] if lines else (1, [])
+    if len(fields) != 2 or fields[0] != keyword or not (fields[1].isascii() and fields[1].isdigit()):
+        raise ParseError(usage, lineno)
+    return parse_decimal(fields[1], what, lineno), lines[1:]
+
+
 def _parse_table_lines(text: str) -> PartialBooleanFunction:
     """:func:`parse_truth_table` one line at a time; the only reader that words an error."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("k"):
-        raise ParseError("first line must be 'k <arity>'", 1)
-    fields = lines[0].split()
-    if len(fields) != 2 or not fields[1].isascii() or not fields[1].isdigit():
-        raise ParseError("first line must be 'k <arity>'", 1)
-    arity = parse_decimal(fields[1], "arity", 1)
+    arity, lines = _header_and_lines(text, "k", "arity", "first line must be 'k <arity>'")
     rows: dict[int, bool | None] = {}  # keyed by table index, input 1 least significant
-    for lineno, line in enumerate(lines[1:], 2):
-        fields = line.split()
+    for lineno, fields in lines:
         if arity == 0 and len(fields) == 1:
             pattern, value_text = "", fields[0]
         elif len(fields) == 2:
@@ -329,7 +335,7 @@ def _parse_table_lines(text: str) -> PartialBooleanFunction:
 def format_truth_table(fn: PartialBooleanFunction) -> str:
     lines = [f"k {fn.arity}"]
     for bits in sorted(fn.inputs()):
-        pattern = "".join("t" if b else "f" for b in bits)
+        pattern = encoding_to_text(bits)
         value = fn.value_at(bits)
         value_text = "u" if value is None else ("t" if value else "f")
         lines.append(f"{pattern} {value_text}".strip())
@@ -345,16 +351,9 @@ def _parse_operand(token: str, lineno: int) -> Operand:
 
 def parse_netlist(text: str) -> Circuit:
     """Netlist file: ``inputs <k>`` then ``g<i> = OP <op> [<op>]`` lines in order."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("inputs"):
-        raise ParseError("first line must be 'inputs <k>'", 1)
-    fields = lines[0].split()
-    if len(fields) != 2 or not fields[1].isascii() or not fields[1].isdigit():
-        raise ParseError("first line must be 'inputs <k>'", 1)
-    input_count = parse_decimal(fields[1], "input count", 1)
+    input_count, lines = _header_and_lines(text, "inputs", "input count", "first line must be 'inputs <k>'")
     gates: list[Gate] = []
-    for lineno, line in enumerate(lines[1:], 2):
-        fields = line.split()
+    for lineno, fields in lines:
         if len(fields) < 4 or fields[1] != "=" or fields[0] != f"g{len(gates) + 1}":
             raise ParseError(f"expected 'g{len(gates) + 1} = OP <operands>'", lineno)
         op = fields[2]
@@ -364,7 +363,7 @@ def parse_netlist(text: str) -> Circuit:
         elif op in (AND, OR) and len(operands) == 2:
             gates.append(Gate(op, operands[0], operands[1]))
         else:
-            raise ParseError(f"bad gate line {line!r}", lineno)
+            raise ParseError(f"bad gate line {' '.join(fields)!r}", lineno)
     if not gates:
         raise ParseError("netlist declares no gates")
     try:

@@ -252,6 +252,34 @@ def test_a_huge_table_header_is_a_parse_error(tmp_path, capsys):
         assert f"parse error: 1: {message}" in err
 
 
+def test_a_header_is_matched_by_its_exact_keyword(tmp_path, capsys):
+    cases = (
+        (("compile", "tt"), "kx 1\nf t\nt f\n", "1: first line must be 'k <arity>'"),
+        (("compile", "circuit"), "inputsfoo 1\ng1 = NOT x1\n", "1: first line must be 'inputs <k>'"),
+        (("encode", "cnf"), "pfoo cnf 1 1\n1 1 1 0\n", "missing 'p cnf' header"),
+    )
+    for command, text, message in cases:
+        code, out, err = run_cli(capsys, *command, write(tmp_path, "input.txt", text))
+        assert (code, out) == (2, "")
+        assert f"parse error: {message}" in err
+
+
+def test_data_file_errors_name_the_physical_line(tmp_path, capsys):
+    program_path = write(tmp_path, "p.pga", "+in:1.get; !t; !f\n")
+    cases = (
+        (("verify", program_path, "--tt"), "k 1\n\n\nf t\nx f\n", "5: pattern must be 1 characters over t/f"),
+        (("compile", "tt"), "\n\nk ²\nf t\n", "3: first line must be 'k <arity>'"),
+        (("compile", "tt"), "\n  \nk 1\nf t\nf f\n", "5: duplicate row 'f'"),
+        (("compile", "circuit"), "inputs 1\n\ng1 = NOT x1\n\ng3 = NOT g1\n", "5: expected 'g2 = OP <operands>'"),
+        (("compile", "circuit"), "\n\ninputs x\n", "3: first line must be 'inputs <k>'"),
+        (("compile", "circuit"), "\ninputs 1\n\ng1 = NOT y1\n", "4: operand must be x<j> or g<j>, got 'y1'"),
+    )
+    for command, text, message in cases:
+        code, out, err = run_cli(capsys, *command, write(tmp_path, "input.txt", text))
+        assert (code, out) == (2, "")
+        assert f"parse error: {message}" in err
+
+
 # Oversized numeric arguments, one row per (argv, file text, exit code, stdout). "{file}" is a
 # file holding the text, "{program}" a small program and "{table}" a small table. Each must end
 # in exit 0, 2 or 3, never 4; a refusal prints nothing to stdout.

@@ -90,6 +90,20 @@ def test_parse_errors_carry_positions():
     for text in ("a; +#1", r"a; -\#2", "a; # 1"):  # a jump takes no sign and no space
         with pytest.raises(ParseError, match="^1:4: "):
             parse(text)
+    # One token of each kind of refusal, with its whole message.
+    for token, message in (
+        ("#01", "bad jump length '01'"),
+        (r"\#x", "bad jump length 'x'"),
+        ("+in:x.get", "bad in focus index 'x'"),
+        ("aux:-1.set:t", "bad aux focus index '-1'"),
+        ("-in:0.get", "input focus index must be >= 1"),
+        ("a:b.get", "bad focus 'a:b'"),
+        ("+aux:1.get.t", "bad method 'get.t'"),
+        ("+ a?", "bad action 'a?'"),
+    ):
+        with pytest.raises(ParseError) as caught:
+            parse(f"!t\n  {token}; !f")
+        assert str(caught.value) == f"2:3: {message}"
     # A number is refused where it is written once it has more digits than int() converts by default.
     for head, tail in (("#", ""), ("\\#", ""), ("+in:", ".get"), ("aux:", ".set:f")):
         with pytest.raises(ParseError, match="^1:4: .* has more than 4300 digits$"):

@@ -7,6 +7,7 @@ table compiler equals its recursive definition (kept in ``thelpers`` as the
 reference).
 """
 
+import re
 import time
 
 import pytest
@@ -32,7 +33,7 @@ from pglb import (
     render,
 )
 from pglb.cli import main
-from pglb.isa import _match_instruction, _parse_instruction, render_instruction
+from pglb.isa import _match_instruction, render_instruction
 from pglb.synthesis import _parse_table_lines
 from thelpers import reference_compile_truth_table
 
@@ -126,19 +127,20 @@ def test_a_token_matched_by_its_pattern_parses_alike(token):
     matched = _match_instruction(token)
     if matched is None:
         # The one pattern accepts every well-formed token: what it refuses does not parse.
-        with pytest.raises(ParseError):
-            _parse_instruction(token, 1, 1)
+        with pytest.raises(ParseError, match="^1:1: "):
+            parse(token)
         return
-    # A matched token is built without its constructors: each part must equal a constructed one
-    # in every field, however the fields are read.
-    parsed = _parse_instruction(token, 1, 1)
-    parts = [(matched, parsed)]
-    if hasattr(parsed, "action"):
-        parts.append((matched.action, parsed.action))
-        if parsed.action.focus is not None:
-            parts.append((matched.action.focus, parsed.action.focus))
-    for built, constructed in parts:
-        assert type(built) is type(constructed)
+    # A matched token spells what it built, but for the spaces it may have after its sign.
+    assert render_instruction(matched) == re.sub(r"^([+-])\s+", r"\1", token)
+    # It is built without its constructors: each part must equal one rebuilt through its
+    # constructor, however the fields are read.
+    parts = [matched]
+    if hasattr(matched, "action"):
+        parts.append(matched.action)
+        if matched.action.focus is not None:
+            parts.append(matched.action.focus)
+    for built in parts:
+        constructed = type(built)(**vars(built))
         assert built == constructed
         assert repr(built) == repr(constructed)
         assert hash(built) == hash(constructed)
