@@ -93,3 +93,8 @@ printf 'inputs 1\n\ng1 = NOT x1\n\ng3 = NOT g1\n' > blank-lines.net
 status=0; pglb compile circuit blank-lines.net 2> blank-lines-net.err || status=$?
 test "$status" -eq 2
 test "$(head -c 16 blank-lines-net.err)" = "parse error: 5: "
+printf 'inputs 1\ng1 = NOT x1\ng2 = AND g1 g3\n' > forward.net
+status=0; pglb compile circuit forward.net > forward.out 2> forward.err || status=$?
+test "$status" -eq 2
+test ! -s forward.out
+test "$(head -c 16 forward.err)" = "parse error: 3: "

@@ -30,12 +30,11 @@ from .isa import (
     PosTest,
     SET_F,
     SET_T,
-    TAU,
 )
 from .threads import DEADLOCK, PostNode, RegularThread, S_MINUS, S_PLUS, StateLabel
 
 # Op kind of a compiled row. The walk treats kinds >= OP_TRUE as final.
-OP_ACTION, OP_TAU, OP_TRUE, OP_FALSE, OP_DEADLOCK = range(5)
+OP_ACTION, OP_TRUE, OP_FALSE, OP_DEADLOCK = range(4)
 # Register bank an action addresses; BANK_NONE is never served by a register.
 BANK_IN, BANK_AUX, BANK_NONE = range(3)
 # Method code of an action.
@@ -74,7 +73,7 @@ def _row_head(instruction: Instruction) -> _RowHead:
     act = instruction.action
     focus = act.focus
     if focus is None:
-        return (OP_TAU if act == TAU else OP_ACTION, BANK_NONE, 0, M_OTHER, act, on_t, on_f)
+        return (OP_ACTION, BANK_NONE, 0, M_OTHER, act, on_t, on_f)
     bank = _BANKS[focus.kind] if focus.index else BANK_NONE  # no run serves a named focus or aux:0
     # in:i is bit i-1, as input i is of a table index; compile_program turns an aux index into its bit.
     index = focus.index - 1 if bank == BANK_IN else focus.index or 0
@@ -229,14 +228,14 @@ def extract_at(sequence: InstructionSequence, start: int) -> RegularThread:
         if row in keep:
             continue
         keep.add(row)
-        if rows[row][0] <= OP_TAU:
+        if rows[row][0] == OP_ACTION:
             stack.extend(successors(row))
     order = sorted(keep)
     remap = {old: new for new, old in enumerate(order)}
     labels: list[StateLabel] = []
     for row in order:
         op = rows[row][0]
-        if op <= OP_TAU:
+        if op == OP_ACTION:
             on_t, on_f = successors(row)
             labels.append(PostNode(rows[row][4], remap[on_t], remap[on_f]))  # type: ignore[arg-type]
         else:

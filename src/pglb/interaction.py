@@ -7,13 +7,17 @@ foci outside the family pass through untouched. The reply operator is the
 Boolean value such a thread delivers at termination, and d when it
 deadlocks, meets an unserved action, or never terminates.
 
-``use_apply`` and ``reply`` are the paper-level specification. Programs run
-on :func:`walk`, one loop over a compiled program whose register files are
-two packed ints; ``compute``, ``trace`` and the oracle's equivalence sweep
-all call it, so a run costs the steps it takes, not the size of the
-product of thread and registers. :func:`reply_sets` gives the replies of
-all inputs of a loop-free program in one pass over its states, with sets of
-inputs, and the inputs whose register holds t, as bit masks.
+``use_apply`` and ``reply`` are the paper-level specification. They state
+the serving rules once, as one step (:func:`_serve`): ``use_apply`` builds
+its product from that step breadth-first, and ``reply`` follows it along
+the single path. Programs run on :func:`walk`, one loop over a compiled
+program whose register files are two packed ints; ``compute``, ``trace``
+and the oracle's equivalence sweep all call it, so a run costs the steps it
+takes, not the size of the product of thread and registers.
+:func:`reply_sets` gives the replies of all inputs of a loop-free program
+in one pass over its states, with sets of inputs, and the inputs whose
+register holds t, as bit masks. No instruction carries tau
+(:mod:`pglb.isa`), so neither has a tau rule.
 """
 
 from __future__ import annotations
@@ -30,13 +34,12 @@ from .extraction import (
     M_GET,
     M_SET_F,
     M_SET_T,
-    OP_TAU,
     OP_TRUE,
 )
 from .isa import InstructionSequence, TAU, render_instruction
 from .services import Reply, ServiceFamily
 from .synthesis import input_index, input_masks
-from .threads import DEADLOCK, Deadlock, PostNode, RegularThread, SMinus, SPlus
+from .threads import DEADLOCK, PostNode, RegularThread, SMinus, SPlus, StateLabel
 
 # Bound on the configurations one walk visits (and on the states of a use_apply product).
 DEFAULT_STATE_CAP = 500_000
@@ -49,17 +52,38 @@ TRACE_LIMIT = 10_000
 REPLY_SETS_BIT_BUDGET = 1 << 35
 
 
+def _serve(label: StateLabel, family: ServiceFamily) -> tuple[StateLabel, ServiceFamily]:
+    """What a thread state becomes under a family: the one serving step of use and reply.
+
+    A leaf stays itself, and so do tau and an action no register serves,
+    with both branches and the family unchanged. A served request that
+    replies d deadlocks; any other becomes tau to the branch its reply
+    picks, with the derived family.
+    """
+    if not isinstance(label, PostNode):
+        return label, family
+    action = label.action
+    service = None if action.focus is None else family.get(action.focus)
+    if service is None:
+        return label, family
+    answer = service.reply(action.name)
+    if answer is Reply.D:
+        return DEADLOCK, family
+    branch = label.then_state if answer is Reply.T else label.else_state
+    return PostNode(TAU, branch, branch), family.replaced(action.focus, service.derive(action.name))
+
+
 def use_apply(thread: RegularThread, family: ServiceFamily) -> RegularThread:
     """Product of a thread with a service family (the use operator).
 
     The result's states are reachable configurations (thread state, family
-    state). Raises :class:`StateSpaceCapExceeded` when more than
-    ``DEFAULT_STATE_CAP`` configurations appear, which signals a service
-    with an unexpectedly large state space.
+    state), built breadth-first by :func:`_serve`. Raises
+    :class:`StateSpaceCapExceeded` when more than ``DEFAULT_STATE_CAP``
+    configurations appear, which signals an unexpectedly large state space.
     """
     labels_in = thread.states
     index: dict[tuple[int, frozenset], int] = {}
-    labels_out: list[object] = []
+    labels_out: list[StateLabel] = []
     queue: deque[tuple[int, int, ServiceFamily]] = deque()
 
     def config(state: int, fam: ServiceFamily) -> int:
@@ -78,66 +102,31 @@ def use_apply(thread: RegularThread, family: ServiceFamily) -> RegularThread:
     root = config(thread.root, family)
     while queue:
         cfg, state, fam = queue.popleft()
-        label = labels_in[state]
-        if not isinstance(label, PostNode):
-            labels_out[cfg] = label
-            continue
-        action = label.action
-        if action == TAU or action.focus is None or action.focus not in fam:
-            # Internal steps and unserved actions pass through unchanged.
-            labels_out[cfg] = PostNode(
-                action, config(label.then_state, fam), config(label.else_state, fam)
-            )
-            continue
-        service = fam.get(action.focus)
-        answer = service.reply(action.name)
-        if answer is Reply.D:
-            labels_out[cfg] = DEADLOCK
-            continue
-        derived = fam.replaced(action.focus, service.derive(action.name))
-        branch = label.then_state if answer is Reply.T else label.else_state
-        follow = config(branch, derived)
-        labels_out[cfg] = PostNode(TAU, follow, follow)
+        label, fam = _serve(labels_in[state], fam)
+        if isinstance(label, PostNode):
+            label = PostNode(label.action, config(label.then_state, fam), config(label.else_state, fam))
+        labels_out[cfg] = label
     return RegularThread(tuple(labels_out), root)
 
 
 def reply(thread: RegularThread, family: ServiceFamily) -> Reply:
     """The Boolean value the thread delivers under the family, or d.
 
-    Walks the single execution path: tau steps are transparent, service
-    replies pick branches, and a revisited configuration means the thread
-    never terminates (reply d).
+    Follows :func:`_serve` along the single execution path: tau is
+    transparent, any other action replies d, and a revisited configuration
+    means the thread never terminates (reply d).
     """
-    state = thread.root
-    fam = family
-    labels = thread.states
+    state, fam, labels = thread.root, family, thread.states
     seen: set[tuple[int, frozenset]] = set()
-    while True:
-        key = (state, fam.pairs)
-        if key in seen:
-            return Reply.D
+    while (key := (state, fam.pairs)) not in seen:
         seen.add(key)
-        label = labels[state]
-        if isinstance(label, SPlus):
-            return Reply.T
-        if isinstance(label, SMinus):
-            return Reply.F
-        if isinstance(label, Deadlock):
+        label, fam = _serve(labels[state], fam)
+        if not isinstance(label, PostNode):
+            return Reply.T if isinstance(label, SPlus) else Reply.F if isinstance(label, SMinus) else Reply.D
+        if label.action != TAU:
             return Reply.D
-        action = label.action
-        if action == TAU:
-            state = label.then_state
-            continue
-        if action.focus is None:
-            return Reply.D
-        service = fam.get(action.focus)
-        if service is None:
-            return Reply.D
-        answer = service.reply(action.name)
-        if answer is Reply.D:
-            return Reply.D
-        fam = fam.replaced(action.focus, service.derive(action.name))
-        state = label.then_state if answer is Reply.T else label.else_state
+        state = label.then_state
+    return Reply.D
 
 
 @dataclass(frozen=True)
@@ -194,13 +183,13 @@ def walk(
     the aux registers the program names are packed into an int, bit r-1 for
     the one of rank r (see :class:`~pglb.extraction.CompiledProgram`):
     nothing reads the others.
-    Any reply d ends the run: an unknown method, a focus no register serves
-    (aux:0, a named focus, an index out of range) or a deadlock. A
-    configuration (position, aux bits, input bits) seen twice means the run
-    never terminates, reply d; when the program writes no input register,
-    the input bits never change, so one int of aux bits and position keys
-    it. Raises :class:`StateSpaceCapExceeded` when the run visits more than
-    ``DEFAULT_STATE_CAP`` configurations.
+    Any reply d ends the run: an unknown method, a bare symbol or a focus
+    no register serves (aux:0, a named focus, an index out of range) or a
+    deadlock. A configuration (position, aux bits, input bits) seen twice
+    means the run never terminates, reply d; when the program writes no
+    input register, the input bits never change, so one int of aux bits
+    and position keys it. Raises :class:`StateSpaceCapExceeded` when the
+    run visits more than ``DEFAULT_STATE_CAP`` configurations.
 
     With a ``steps`` list, one :class:`TraceStep` per visited row is
     appended until ``TRACE_LIMIT`` records, then a truncation marker; the
@@ -243,11 +232,6 @@ def walk(
             regs = aux
         elif b == BANK_IN and i < input_count:
             regs = inputs
-        elif op == OP_TAU:
-            if recording:
-                log.append(_step(program, state, "action", Reply.T))
-            state = landing[state + on_t]
-            continue
         else:
             if recording:
                 log.append(_step(program, state, "no-service", Reply.D, "no service under this focus"))
@@ -321,9 +305,6 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
             regs = auxes
         elif b == BANK_IN and i < input_count:
             regs = ins
-        elif op == OP_TAU:
-            reach[landing[row + on_t]] |= here
-            continue
         else:
             finals[2] |= here
             continue

@@ -13,7 +13,10 @@ Actions are either bare symbols or ``focus.method`` requests addressed to a
 named service (e.g. ``in:3.get``, ``aux:1.set:f``). The textual form uses
 ``;`` or newlines between instructions and ``//`` line comments. One
 pattern reads every token (:func:`_match_instruction`); a token it refuses
-is reported by its first malformed part (:func:`_refusal`).
+is reported by its first malformed part (:func:`_refusal`). The
+constructors refuse what the parser refuses: ``tau`` (:data:`TAU`) and
+numbers of more than ``MAX_DIGITS`` digits. So all they build renders to
+text that :func:`parse` reads back.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ _IDENT_RE = re.compile(_IDENT + r"\Z")
 _METHOD_RE = re.compile(_METHOD + r"\Z")
 _NAT_RE = re.compile(_NAT + r"\Z")
 _DIGITS_RE = re.compile(r"[0-9]+\Z")
+# The least number with more than MAX_DIGITS digits; an int compares below an infinite float.
+_TOO_MANY_DIGITS = 10**MAX_DIGITS if MAX_DIGITS else float("inf")
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,8 @@ class Focus:
                 raise ValueError(f"named focus needs an identifier, got {self.name!r}")
         else:
             raise ValueError(f"unknown focus kind {self.kind!r}")
+        if self.index is not None and self.index >= _TOO_MANY_DIGITS:
+            raise ValueError(f"{self.kind} focus index has more than {MAX_DIGITS} digits")
 
     @staticmethod
     def input(index: int) -> "Focus":
@@ -106,41 +113,51 @@ class Action:
 
 
 # The internal action produced by the use operator. It has no side effects
-# and always replies t; user programs may not spell it.
+# and always replies t; threads may carry it, but no instruction may.
 TAU = Action("tau")
+_TAU_RESERVED = "'tau' is reserved for internal steps"
+
+
+def _refuse_tau(instruction: "Basic | PosTest | NegTest") -> None:
+    if instruction.action == TAU:
+        raise ValueError(_TAU_RESERVED)
 
 
 @dataclass(frozen=True)
 class Basic:
     action: Action
+    __post_init__ = _refuse_tau
 
 
 @dataclass(frozen=True)
 class PosTest:
     action: Action
+    __post_init__ = _refuse_tau
 
 
 @dataclass(frozen=True)
 class NegTest:
     action: Action
+    __post_init__ = _refuse_tau
+
+
+def _check_offset(jump: "FwdJump | BwdJump") -> None:
+    if jump.offset < 0:
+        raise ValueError("jump offset must be >= 0")
+    if jump.offset >= _TOO_MANY_DIGITS:
+        raise ValueError(f"jump length has more than {MAX_DIGITS} digits")
 
 
 @dataclass(frozen=True)
 class FwdJump:
     offset: int
-
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise ValueError("jump offset must be >= 0")
+    __post_init__ = _check_offset
 
 
 @dataclass(frozen=True)
 class BwdJump:
     offset: int
-
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise ValueError("jump offset must be >= 0")
+    __post_init__ = _check_offset
 
 
 @dataclass(frozen=True)
@@ -176,9 +193,6 @@ class InstructionSequence:
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
-
-    def __add__(self, other: "InstructionSequence") -> "InstructionSequence":
-        return InstructionSequence(self.instructions + other.instructions)
 
     def __str__(self) -> str:
         return render(self)
@@ -223,7 +237,7 @@ def _refusal(token: str) -> str:
         text = token[1:].strip() if token[0] in "+-" else token
         focus, dot, method = text.partition(".")
         if not dot:
-            return "'tau' is reserved for internal steps" if text == "tau" else f"bad action {text!r}"
+            return _TAU_RESERVED if text == "tau" else f"bad action {text!r}"
         kind, colon, number = focus.partition(":")
         if not colon or kind not in ("in", "aux"):
             return f"bad method {method!r}" if _IDENT_RE.match(focus) else f"bad focus {focus!r}"

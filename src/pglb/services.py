@@ -75,16 +75,16 @@ def boolean_register(value: Reply | bool) -> BooleanRegister:
 class ServiceFamily:
     """Immutable association of foci to Boolean registers.
 
-    Equality is extensional: the same (focus, register) pairs. That set,
-    computed once, is the family's part of a configuration key during
-    interaction.
+    Equality and hashing are extensional: ``pairs``, the (focus, register)
+    pairs, computed when the family is built, since the use operator keys
+    every new family at once as its part of a configuration key.
     """
 
-    __slots__ = ("_services", "_pairs")
+    __slots__ = ("_services", "pairs")
 
     def __init__(self, services: Mapping[Focus, BooleanRegister] | Iterable[tuple[Focus, BooleanRegister]] = ()):
         self._services: dict[Focus, BooleanRegister] = dict(services)
-        self._pairs: frozenset[tuple[Focus, BooleanRegister]] | None = None
+        self.pairs: frozenset[tuple[Focus, BooleanRegister]] = frozenset(self._services.items())
 
     def get(self, focus: Focus) -> BooleanRegister | None:
         return self._services.get(focus)
@@ -95,13 +95,6 @@ class ServiceFamily:
         updated = dict(self._services)
         updated[focus] = service
         return ServiceFamily(updated)
-
-    @property
-    def pairs(self) -> frozenset[tuple[Focus, BooleanRegister]]:
-        """The (focus, register) pairs: what equality, hashing and configuration keys use."""
-        if self._pairs is None:
-            self._pairs = frozenset(self._services.items())
-        return self._pairs
 
     def __contains__(self, focus: Focus) -> bool:
         return focus in self._services

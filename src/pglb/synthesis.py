@@ -150,16 +150,19 @@ class Circuit:
         if not self.gates:
             raise MalformedCircuitError("a circuit needs at least one gate")
         for number, gate in enumerate(self.gates, 1):
-            for operand in (gate.left, gate.right):
-                if operand is None:
-                    continue
-                if isinstance(operand, InputRef):
-                    if not 1 <= operand.index <= self.input_count:
-                        raise MalformedCircuitError(f"gate {number} reads input {operand.index}")
-                elif not 1 <= operand.index < number:
-                    raise MalformedCircuitError(
-                        f"gate {number} references gate {operand.index} (forward or self)"
-                    )
+            _check_operands(gate, number, self.input_count)
+
+
+def _check_operands(
+    gate: Gate, number: int, input_count: int, error: Callable[[str], Exception] = MalformedCircuitError
+) -> None:
+    """Raise ``error`` when gate ``number`` reads an input out of range or a gate not before it."""
+    for operand in (gate.left, gate.right):
+        if isinstance(operand, InputRef):
+            if not 1 <= operand.index <= input_count:
+                raise error(f"gate {number} reads input {operand.index}")
+        elif operand is not None and not 1 <= operand.index < number:
+            raise error(f"gate {number} references gate {operand.index} (forward or self)")
 
 
 def _operand_get(operand: Operand) -> Action:
@@ -364,12 +367,10 @@ def parse_netlist(text: str) -> Circuit:
             gates.append(Gate(op, operands[0], operands[1]))
         else:
             raise ParseError(f"bad gate line {' '.join(fields)!r}", lineno)
+        _check_operands(gates[-1], len(gates), input_count, lambda message: ParseError(message, lineno))
     if not gates:
         raise ParseError("netlist declares no gates")
-    try:
-        return Circuit(input_count, tuple(gates))
-    except MalformedCircuitError as exc:
-        raise ParseError(str(exc)) from None
+    return Circuit(input_count, tuple(gates))
 
 
 def format_netlist(circuit: Circuit) -> str:

@@ -273,6 +273,9 @@ def test_data_file_errors_name_the_physical_line(tmp_path, capsys):
         (("compile", "circuit"), "inputs 1\n\ng1 = NOT x1\n\ng3 = NOT g1\n", "5: expected 'g2 = OP <operands>'"),
         (("compile", "circuit"), "\n\ninputs x\n", "3: first line must be 'inputs <k>'"),
         (("compile", "circuit"), "\ninputs 1\n\ng1 = NOT y1\n", "4: operand must be x<j> or g<j>, got 'y1'"),
+        (("compile", "circuit"), "inputs 1\ng1 = NOT x1\ng2 = AND g1 g3\n", "3: gate 2 references gate 3 (forward"),
+        (("compile", "circuit"), "inputs 1\n\ng1 = NOT x0\n", "3: gate 1 reads input 0"),
+        (("compile", "circuit"), "inputs 1\ng1 = NOT x1\ng2 = OR g1 x2\n", "3: gate 2 reads input 2"),
     )
     for command, text, message in cases:
         code, out, err = run_cli(capsys, *command, write(tmp_path, "input.txt", text))

@@ -30,7 +30,6 @@ from pglb import (
     PartialBooleanFunction,
     PosTest,
     Reply,
-    TAU,
     TERM_F,
     TERM_T,
     bisimilar,
@@ -184,9 +183,9 @@ def test_compile_program_matches_the_reference(program):
 
 
 # Without backward jumps, but with register writes, flip, aux:0, a register
-# past --aux or the inputs, the named focus and tau.
+# past --aux or the inputs and the named focus.
 WIDE_FOCI = FOCI + [Focus.input(5), Focus.input(6), Focus.aux(7)]
-wide_actions = st.one_of(st.builds(Action, st.sampled_from(METHODS), st.sampled_from(WIDE_FOCI)), st.just(TAU))
+wide_actions = st.builds(Action, st.sampled_from(METHODS), st.sampled_from(WIDE_FOCI))
 loop_free_bodies = st.lists(
     st.one_of(
         st.builds(Basic, wide_actions),

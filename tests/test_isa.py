@@ -1,10 +1,15 @@
 """Parsing, rendering and static queries on instruction sequences."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pglb
 from pglb import (
     Action,
     Basic,
@@ -16,6 +21,10 @@ from pglb import (
     NegTest,
     ParseError,
     PosTest,
+    PostNode,
+    RegularThread,
+    S_PLUS,
+    TAU,
     TERM_F,
     TERM_T,
     parse,
@@ -147,16 +156,6 @@ def test_length():
     assert len(InstructionSequence((TERM_T,))) == 1
 
 
-def test_concatenation_adds_lengths():
-    rng = random.Random(101)
-    for _ in range(50):
-        left = random_sequence(rng)
-        right = random_sequence(rng)
-        combined = left + right
-        assert len(combined) == len(left) + len(right)
-        assert combined.instructions == left.instructions + right.instructions
-
-
 def test_is_loop_free():
     assert not parse(r"a; \#1").compiled.acyclic
     assert parse("!t").compiled.acyclic
@@ -212,3 +211,48 @@ def test_render_parse_idempotent_on_messy_input():
 def test_sequences_must_be_nonempty():
     with pytest.raises(ValueError):
         InstructionSequence(())
+
+
+def _parse_refusal(text):
+    """The message of the ParseError ``parse`` raises on ``text``, without its position."""
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    return str(caught.value).split(": ", 1)[1]
+
+
+def test_action_instructions_refuse_tau_as_parse_does():
+    message = _parse_refusal("tau")
+    for instruction in (Basic, PosTest, NegTest):
+        for action in (TAU, Action("tau")):
+            with pytest.raises(ValueError) as caught:
+                instruction(action)
+            assert str(caught.value) == message
+    # tau is still an action: the use operator's internal step, which threads carry.
+    assert Action("tau") == TAU
+    assert RegularThread((PostNode(TAU, 1, 1), S_PLUS), 0).states[0].action == TAU
+    assert Basic(Action("tau", Focus.named("x"))) == parse("x.tau").instructions[0]
+
+
+def test_constructors_refuse_numbers_parse_refuses():
+    # 10**4300 has 4,301 digits, more than int() and str() convert by default.
+    for build, head, tail in (
+        (FwdJump, "#", ""), (BwdJump, "\\#", ""), (Focus.input, "+in:", ".get"), (Focus.aux, "aux:", ".get")
+    ):
+        message = _parse_refusal(f"{head}1{'0' * 4300}{tail}")
+        with pytest.raises(ValueError) as caught:
+            build(10**4300)
+        assert str(caught.value) == message
+        build(10**4300 - 1)  # 4,300 digits are taken
+    with pytest.raises(ValueError):
+        Basic(Action(GET, Focus.input(10**4300)))
+
+
+def test_constructors_take_any_number_when_the_interpreter_takes_any():
+    env = dict(os.environ, PYTHONPATH=str(Path(pglb.__file__).parents[1]), PYTHONINTMAXSTRDIGITS="0")
+    code = (
+        "from pglb import *; n = 10**5000; "
+        "s = InstructionSequence((FwdJump(n), Basic(Action('get', Focus.aux(n))), TERM_T)); "
+        "assert parse(render(s)) == s"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 0, done.stderr

@@ -205,3 +205,12 @@ def test_netlist_errors():
         parse_netlist(f"inputs {'9' * 5000}\ng1 = NOT x1\n")
     with pytest.raises(ParseError, match="^2: operand has too many digits$"):
         parse_netlist(f"inputs 1\ng1 = NOT x{'1' * 5000}\n")
+    # An operand error names the line of its gate.
+    for text, message in (
+        ("inputs 1\ng1 = NOT x1\ng2 = AND g1 g3\n", "3: gate 2 references gate 3 (forward or self)"),
+        ("inputs 2\ng1 = NOT x0\n", "2: gate 1 reads input 0"),
+        ("inputs 2\ng1 = NOT x1\n\ng2 = OR g1 x3\n", "4: gate 2 reads input 3"),
+    ):
+        with pytest.raises(ParseError) as caught:
+            parse_netlist(text)
+        assert str(caught.value) == message

@@ -33,7 +33,7 @@ from pglb import (
     render,
 )
 from pglb.cli import main
-from pglb.isa import _match_instruction, render_instruction
+from pglb.isa import MAX_DIGITS, _match_instruction, render_instruction
 from pglb.synthesis import _parse_table_lines
 from thelpers import reference_compile_truth_table
 
@@ -68,6 +68,37 @@ sequences = st.lists(instructions, min_size=1, max_size=8).flatmap(
 @given(sequences)
 def test_parse_inverts_render(sequence):
     assert parse(render(sequence)) == sequence
+
+
+# Numbers on both sides of the bound on digits (if any), and short names over characters an
+# identifier may and may not hold, tau among them.
+_BOUND = max(MAX_DIGITS, 20)
+numbers = st.one_of(
+    st.integers(-2, 30),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(lambda pair: 10 ** (_BOUND + pair[0]) + pair[1]),
+)
+names = st.one_of(st.sampled_from(("tau", "get", "set:t", "in", "aux", "x_1")), st.text("tau1_:. é", max_size=4))
+focus_fields = st.tuples(st.sampled_from(("in", "aux", "named")), st.none() | numbers, st.none() | names)
+
+
+@st.composite
+def constructed_instructions(draw):
+    """An action instruction or jump built by the constructors from int and str arguments; None if one refuses them."""
+    cls = draw(st.sampled_from((Basic, PosTest, NegTest, FwdJump, BwdJump)))
+    jump = cls in (FwdJump, BwdJump)
+    number, name, fields = (draw(numbers), None, None) if jump else (None, draw(names), draw(st.none() | focus_fields))
+    try:
+        return cls(number) if jump else cls(Action(name, fields and Focus(*fields)))
+    except ValueError:
+        return None
+
+
+@PROPERTY_SETTINGS
+@given(constructed_instructions())
+def test_an_instruction_the_constructors_accept_parses_back_from_its_text(instruction):
+    if instruction is not None:
+        sequence = InstructionSequence((instruction, TERM_T))
+        assert parse(render(sequence)) == sequence
 
 
 GOOD_TOKENS = ("a", "+in:1.get", "#2", "!t", r"\#1", "- aux:0.set:f")

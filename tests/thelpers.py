@@ -233,7 +233,6 @@ def reference_compile_program(sequence, start: int = 1) -> dict:
         OP_ACTION,
         OP_DEADLOCK,
         OP_FALSE,
-        OP_TAU,
         OP_TRUE,
         _BANKS,
         _METHODS,
@@ -302,8 +301,7 @@ def reference_compile_program(sequence, start: int = 1) -> dict:
         else:
             on_t, on_f = target(p + 2), target(p + 1)
         if focus is None:
-            op = OP_TAU if act == TAU else OP_ACTION
-            rows.append((op, BANK_NONE, 0, M_OTHER, on_t, on_f, act))
+            rows.append((OP_ACTION, BANK_NONE, 0, M_OTHER, on_t, on_f, act))
         else:
             bank = _BANKS.get(focus.kind, BANK_NONE)
             method = _METHODS.get(act.name, M_OTHER)
