@@ -98,3 +98,15 @@ status=0; pglb compile circuit forward.net > forward.out 2> forward.err || statu
 test "$status" -eq 2
 test ! -s forward.out
 test "$(head -c 16 forward.err)" = "parse error: 3: "
+printf '+ in:1.get // c\n!t; !f\n' > spaced-trace.pga
+pglb run spaced-trace.pga --trace --in t > spaced-trace.out
+test "$(head -n 1 spaced-trace.out)" = "[1] +in:1.get: in:1.get -> t"
+printf '!t\n!t; !x\n' > bad-second-line.pga
+status=0; pglb run bad-second-line.pga --in t > bad-run.out 2> bad-run.err || status=$?
+test "$status" -eq 2
+test ! -s bad-run.out
+test "$(head -c 17 bad-run.err)" = "parse error: 2:5:"
+status=0; pglb verify bad-second-line.pga --tt xor.tt > bad-verify.out 2> bad-verify.err || status=$?
+test "$status" -eq 2
+test ! -s bad-verify.out
+test "$(head -c 17 bad-verify.err)" = "parse error: 2:5:"

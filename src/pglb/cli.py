@@ -15,9 +15,9 @@ from itertools import count
 from pathlib import Path
 
 from .errors import InfeasibleArityError, ParseError, StateSpaceCapExceeded
-from .extraction import extract
+from .extraction import compile_text, extract
 from .interaction import DEFAULT_STATE_CAP, compute, trace
-from .isa import MAX_DIGITS, InstructionSequence, parse, render
+from .isa import MAX_DIGITS, parse, render
 from .oracle import equivalence_check
 from .sat3 import (
     clause_count,
@@ -48,17 +48,13 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_program(path: str) -> InstructionSequence:
-    return parse(_read(path))
-
-
 def _cmd_fmt(args) -> int:
-    print(render(_load_program(args.file)))
+    print(render(parse(_read(args.file))))
     return EXIT_OK
 
 
 def _cmd_extract(args) -> int:
-    thread = extract(_load_program(args.file))
+    thread = extract(parse(_read(args.file)))
     print(thread_to_dot(thread) if args.graph else thread_equations(thread))
     return EXIT_OK
 
@@ -94,18 +90,18 @@ def _check_projection_size(thread: RegularThread, depth: int) -> None:
 
 
 def _cmd_project(args) -> int:
-    thread = extract(_load_program(args.file))
+    thread = extract(parse(_read(args.file)))
     _check_projection_size(thread, args.depth)
     print(render_term(project(thread, args.depth)))
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    program = _load_program(args.file)
-    # One compiled row per distinct instruction: check each action once, in first-occurrence order.
-    for action in program.compiled.actions():
-        if action.focus is None:
-            print(f"non-service action '{action}'", file=sys.stderr)
+    program = compile_text(_read(args.file))
+    # One row per distinct token, its action as text: check each action once, in first-occurrence order.
+    for head in program.heads:
+        if head[4] is not None and "." not in head[4]:  # a bare symbol has no focus
+            print(f"non-service action '{head[4]}'", file=sys.stderr)
             return EXIT_USAGE
     inputs = parse_encoding(args.inputs)
     if not args.trace:
@@ -155,7 +151,7 @@ def _cmd_encode_cnf(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    program = _load_program(args.program)
+    program = compile_text(_read(args.program))
     table = parse_truth_table(_read(args.tt))
     report = equivalence_check(program, table, args.aux)
     print(report)

@@ -9,27 +9,31 @@ infinite jump chain and deadlocks.
 
 A program is compiled once, to one shared row per distinct instruction
 indexed by position and one map from each position to where behaviour lands
-there (:class:`CompiledProgram`). Both the thread graph (:func:`extract_at`)
-and the execution walk in :mod:`pglb.interaction` are built from that form.
+there (:class:`CompiledProgram`): text in one pass, a row per distinct token
+and no instruction object (:func:`compile_text`); a sequence, by
+:func:`compile_program`. Both the thread graph (:func:`extract_at`) and the
+execution walk in :mod:`pglb.interaction` are built from that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
+from operator import itemgetter
 
+from .errors import ParseError
 from .isa import (
     Action,
-    Basic,
-    BwdJump,
-    FwdJump,
     GET,
     Instruction,
     InstructionSequence,
-    NegTest,
-    PosTest,
     SET_F,
     SET_T,
+    _TOKEN,
+    _instruction_of,
+    _refusal,
+    render_instruction,
 )
 from .threads import DEADLOCK, PostNode, RegularThread, S_MINUS, S_PLUS, StateLabel
 
@@ -46,38 +50,58 @@ _METHODS = {GET: M_GET, SET_T: M_SET_T, SET_F: M_SET_F}
 
 # Kind of a jump's row head; no run lands on it.
 _JUMP_FWD, _JUMP_BWD = -1, -2
-# Successor offsets (on reply t, on reply f) of the instructions that perform an action.
-_BRANCH_OFFSETS = {Basic: (1, 1), PosTest: (1, 2), NegTest: (2, 1)}
+_JUMP_KINDS = frozenset((_JUMP_FWD, _JUMP_BWD))
+# Successor offsets (on reply t, on reply f) of the instructions that perform an action, by sign.
+_SIGN_OFFSETS = {"": (1, 1), "+": (1, 2), "-": (2, 1)}
+_SIGNS = {offsets: sign for sign, offsets in _SIGN_OFFSETS.items()}
 
 # Row head: kind, bank, index, method, action, then offset, else offset.
-_RowHead = tuple[int, int, int, int, "Action | None", int, int]
+_RowHead = tuple[int, int, int, int, "Action | str | None", int, int]
 _DEADLOCK_HEAD: _RowHead = (OP_DEADLOCK, BANK_NONE, 0, M_OTHER, None, 0, 0)
 
 
-def _row_head(instruction: Instruction) -> _RowHead:
-    """The row of every position holding ``instruction``.
+def _token_head(token: str) -> _RowHead | None:
+    """The row of every position spelling ``token``, read from its one match; None when it is malformed.
 
-    The offsets lead from the instruction's position to the positions its
-    replies continue at. A termination's are 0, so it is its own successor;
-    a jump's kind is ``_JUMP_FWD`` or ``_JUMP_BWD`` and its offsets are the
-    jump's.
+    The offsets lead to where the replies continue; a termination's are 0. No
+    run serves a bare symbol, a named focus or aux:0 (``BANK_NONE``). A register
+    row's index is i-1 for in:i, its bit as input i is of a table index, and
+    i-1 for aux:i until ranked. The action is its canonical text, the token after its sign.
     """
-    offsets = _BRANCH_OFFSETS.get(type(instruction))
-    if offsets is None:
-        if isinstance(instruction, FwdJump):
-            return (_JUMP_FWD, BANK_NONE, 0, M_OTHER, None, instruction.offset, instruction.offset)
-        if isinstance(instruction, BwdJump):
-            return (_JUMP_BWD, BANK_NONE, 0, M_OTHER, None, instruction.offset, instruction.offset)
-        return (OP_TRUE if instruction.positive else OP_FALSE, BANK_NONE, 0, M_OTHER, None, 0, 0)
-    on_t, on_f = offsets
-    act = instruction.action
-    focus = act.focus
-    if focus is None:
-        return (OP_ACTION, BANK_NONE, 0, M_OTHER, act, on_t, on_f)
-    bank = _BANKS[focus.kind] if focus.index else BANK_NONE  # no run serves a named focus or aux:0
-    # in:i is bit i-1, as input i is of a table index; compile_program turns an aux index into its bit.
-    index = focus.index - 1 if bank == BANK_IN else focus.index or 0
-    return (OP_ACTION, bank, index, _METHODS.get(act.name, M_OTHER), act, on_t, on_f)
+    if token == "!t" or token == "!f":
+        return (OP_TRUE if token == "!t" else OP_FALSE, BANK_NONE, 0, M_OTHER, None, 0, 0)
+    match = _TOKEN.fullmatch(token)
+    if match is None:
+        return None
+    backslash, offset, sign, in_index, aux_index, _, method, symbol = match.groups()
+    if offset is not None:
+        length = int(offset)
+        return (_JUMP_BWD if backslash else _JUMP_FWD, BANK_NONE, 0, M_OTHER, None, length, length)
+    if symbol == "tau":
+        return None
+    number = int(in_index or aux_index or 0)
+    bank = _BANKS["in" if in_index else "aux"] if number else BANK_NONE
+    action = token[len(sign) :].lstrip()
+    return (OP_ACTION, bank, number and number - 1, _METHODS.get(method, M_OTHER), action, *_SIGN_OFFSETS[sign])
+
+
+def _row_head(instruction: Instruction) -> _RowHead:
+    """The row of every position holding ``instruction``: the row of its text, holding its ``Action``.
+
+    All the constructors build renders to text that is read back, so the text's row has the same rules.
+    """
+    head = _token_head(render_instruction(instruction))
+    return (*head[:4], getattr(instruction, "action", None), *head[5:])  # type: ignore[index]
+
+
+def row_text(head: _RowHead) -> str:
+    """The canonical text of the instruction a row stands for, as ``render`` writes it."""
+    kind = head[0]
+    if kind == OP_ACTION:
+        return _SIGNS[head[5:]] + str(head[4])
+    if kind < 0:
+        return ("#" if kind == _JUMP_FWD else "\\#") + str(head[5])
+    return "!t" if kind == OP_TRUE else "!f"
 
 
 def _land_jumps(landing: list[int | None], rows: tuple[_RowHead, ...], jumps: list[int], exit_state: int) -> bool:
@@ -132,28 +156,25 @@ def _land_jumps(landing: list[int | None], rows: tuple[_RowHead, ...], jumps: li
 
 @dataclass(frozen=True, eq=False)
 class CompiledProgram:
-    """A program's thread indexed by position: one shared row per distinct instruction.
+    """A program's thread indexed by position: one shared row per distinct instruction object or token.
 
-    ``rows[p]`` is the row of the instruction at position p = 1..size, one
-    tuple per instruction object; a reply continues at ``landing[p + offset]``,
-    where behaviour goes on once the jumps there are followed. The deadlock
-    rows ``exit_state`` (behaviour left the program, as from position 0 or
-    past the end) and ``exit_state + 1`` (an infinite jump chain) follow the
-    last position. ``heads`` are the distinct rows in first-occurrence
-    order, ``states`` counts the non-jump positions and ``written`` holds
-    the banks some method sets. A register row's index is the bit that
-    holds its register: i-1 for in:i, as for input i in a table index, and
-    r-1 for the aux focus of rank r in ``aux_named``, the aux indices above
-    0 the program names, ascending. So the aux registers packed for a run
-    are as many as the program names, however large the indices. No run
-    serves aux:0 or a named focus: their rows are ``BANK_NONE``.
-
-    ``acyclic`` holds when the program has no backward jump. Then every edge
-    leads to a higher row, so no run visits a row twice. The form holds the
-    instructions, not the sequence, so a sequence caches it without a cycle.
+    ``rows[p]`` is the row at position p = 1..size; its action is the
+    ``Action``, or for compiled text its canonical text. A reply continues
+    at ``landing[p + offset]``, where behaviour goes on once the jumps there
+    are followed. The deadlock rows ``exit_state`` (behaviour left the
+    program, as from position 0 or past the end) and ``exit_state + 1`` (an
+    infinite jump chain) follow the last position. ``heads`` are the distinct
+    rows in first-occurrence order, ``states`` counts the non-jump positions
+    and ``written`` holds the banks some method sets. A register row's index
+    is the bit that holds its register: i-1 for in:i, as for input i in a
+    table index, and r-1 for the aux focus of rank r in ``aux_named``, the
+    aux indices above 0 the program names, ascending; so a run packs as many
+    aux registers as the program names. No run serves aux:0 or a named
+    focus: their rows are ``BANK_NONE``. ``acyclic`` holds when the program
+    has no backward jump; then every edge leads to a higher row. The form
+    holds no sequence, so a sequence caches it without a cycle.
     """
 
-    instructions: tuple[Instruction, ...]
     rows: tuple[_RowHead, ...]
     landing: tuple[int, ...]
     heads: tuple[_RowHead, ...]
@@ -163,50 +184,95 @@ class CompiledProgram:
     written: frozenset[int]
     acyclic: bool
 
+    @cached_property
+    def instructions(self) -> tuple[Instruction, ...]:
+        """The instruction at each position, built on first use, one per distinct row; a compiled sequence's own."""
+        built = {id(head): _instruction_of(row_text(head)) for head in self.heads}
+        return tuple(map(built.__getitem__, map(id, self.rows[1 : self.exit_state])))
+
+    @property
+    def compiled(self) -> CompiledProgram:
+        return self
+
     def entry(self, start: int = 1) -> int:
         """The row where behaviour starting at position ``start`` continues."""
         return self.landing[start] if 0 <= start < len(self.landing) else self.exit_state
 
-    def actions(self) -> list[Action]:
-        """The actions of the distinct instructions, in first-occurrence order."""
-        return [head[4] for head in self.heads if head[4] is not None]
+
+# What a run takes: a sequence or a compiled form, whose ``compiled`` is the form itself.
+Program = InstructionSequence | CompiledProgram
 
 
-def compile_program(sequence: InstructionSequence) -> CompiledProgram:
-    """Compile ``sequence``; ``sequence.compiled`` holds the result once computed.
+def _assemble(body: list[_RowHead], heads: list[_RowHead]) -> CompiledProgram:
+    """The form whose positions hold the rows ``body``, of distinct rows ``heads``: the second half of a compile.
 
-    Per position, only ``map`` and ``compress`` run: one row head is built
-    per distinct instruction object (``parse`` shares equal instructions),
-    then aux indices become bits by rank and the jumps are resolved.
+    Aux indices become bits by rank (when they are not 1..n) and jumps are resolved, by ``map`` and ``compress``.
     """
-    instructions = sequence.instructions
-    size = len(instructions)
+    aux_named = sorted({head[2] + 1 for head in heads if head[1] == BANK_AUX})
+    if aux_named and aux_named[-1] != len(aux_named):
+        bit = {index - 1: r for r, index in enumerate(aux_named)}
+        ranked = {id(head): (*head[:2], bit[head[2]], *head[3:]) if head[1] == BANK_AUX else head for head in heads}
+        heads = list(ranked.values())
+        body = list(map(ranked.__getitem__, map(id, body)))
+    size = len(body)
     exit_state = size + 1
-    ids = list(map(id, instructions))
-    heads_by_id = {key: _row_head(u) for key, u in dict(zip(ids, instructions)).items()}
-    aux_named = sorted({head[2] for head in heads_by_id.values() if head[1] == BANK_AUX})
-    bit = {index: r for r, index in enumerate(aux_named)}
-    for key, head in heads_by_id.items():
-        if head[1] == BANK_AUX:
-            heads_by_id[key] = (*head[:2], bit[head[2]], *head[3:])
-    rows = (_DEADLOCK_HEAD, *map(heads_by_id.__getitem__, ids), _DEADLOCK_HEAD, _DEADLOCK_HEAD)
-    jump_ids = {key for key, head in heads_by_id.items() if head[0] < 0}
-    jumps = list(compress(range(1, exit_state), map(jump_ids.__contains__, ids)))
+    rows = (_DEADLOCK_HEAD, *body, _DEADLOCK_HEAD, _DEADLOCK_HEAD)
+    jumps = list(compress(range(1, exit_state), map(_JUMP_KINDS.__contains__, map(itemgetter(0), body))))
     landing: list[int | None] = list(range(size + 3))
     landing[0] = landing[size + 2] = exit_state
     acyclic = _land_jumps(landing, rows, jumps, exit_state)
-    heads = tuple(heads_by_id.values())
     return CompiledProgram(
-        instructions=instructions,
         rows=rows,
         landing=tuple(landing),  # type: ignore[arg-type]
-        heads=heads,
+        heads=tuple(heads),
         exit_state=exit_state,
         states=size - len(jumps),
         aux_named=tuple(aux_named),
         written=frozenset(head[1] for head in heads if head[3] in (M_SET_T, M_SET_F)),
         acyclic=acyclic,
     )
+
+
+def compile_program(sequence: InstructionSequence) -> CompiledProgram:
+    """Compile ``sequence``, one row per distinct instruction object; ``sequence.compiled`` holds the result."""
+    instructions = sequence.instructions
+    ids = list(map(id, instructions))
+    heads_by_id = {key: _row_head(u) for key, u in dict(zip(ids, instructions)).items()}
+    program = _assemble(list(map(heads_by_id.__getitem__, ids)), list(heads_by_id.values()))
+    object.__setattr__(program, "instructions", instructions)  # fills the cached property
+    return program
+
+
+def compile_text(text: str) -> CompiledProgram:
+    """Compile program text, as :func:`pglb.isa.parse` reads it, in one pass: the one reader of program text.
+
+    Per line, each distinct segment is stripped and looked up once, each new
+    token's row built from its match, and the rows gathered by ``map``. No
+    instruction is built until ``instructions`` is read.
+    """
+    body: list[_RowHead] = []
+    by_token: dict[str, _RowHead] = {}
+    by_segment: dict[str, _RowHead | None] = {}  # raw segment -> its token's row; None when blank
+    for lineno, line in enumerate(text.splitlines(), 1):
+        segments = line.split("//", 1)[0].split(";")
+        for segment in dict.fromkeys(segments):  # the line's distinct segments, in first-occurrence order
+            if segment in by_segment:
+                continue
+            token = segment.strip()
+            head = by_token.get(token)
+            if head is None and token:
+                head = _token_head(token)
+                if head is None:
+                    # No earlier segment holds this token, or it would have failed there.
+                    at = segments.index(segment)
+                    column = sum(map(len, segments[:at])) + at + segment.index(token[0]) + 1
+                    raise ParseError(_refusal(token), lineno, column)
+                by_token[token] = head
+            by_segment[segment] = head
+        body.extend(filter(None, map(by_segment.__getitem__, segments)))
+    if not body:
+        raise ParseError("empty instruction sequence")
+    return _assemble(body, list(by_token.values()))
 
 
 def extract_at(sequence: InstructionSequence, start: int) -> RegularThread:
@@ -233,11 +299,12 @@ def extract_at(sequence: InstructionSequence, start: int) -> RegularThread:
     order = sorted(keep)
     remap = {old: new for new, old in enumerate(order)}
     labels: list[StateLabel] = []
+    instructions = program.instructions  # compiled text builds them here, on first use
     for row in order:
         op = rows[row][0]
         if op == OP_ACTION:
             on_t, on_f = successors(row)
-            labels.append(PostNode(rows[row][4], remap[on_t], remap[on_f]))  # type: ignore[arg-type]
+            labels.append(PostNode(instructions[row - 1].action, remap[on_t], remap[on_f]))  # type: ignore[union-attr]
         else:
             labels.append({OP_TRUE: S_PLUS, OP_FALSE: S_MINUS}.get(op, DEADLOCK))
     return RegularThread(tuple(labels), remap[root])

@@ -35,8 +35,10 @@ from .extraction import (
     M_SET_F,
     M_SET_T,
     OP_TRUE,
+    Program,
+    row_text,
 )
-from .isa import InstructionSequence, TAU, render_instruction
+from .isa import TAU
 from .services import Reply, ServiceFamily
 from .synthesis import input_index, input_masks
 from .threads import DEADLOCK, PostNode, RegularThread, SMinus, SPlus, StateLabel
@@ -158,15 +160,9 @@ def _step(program: CompiledProgram, row: int, kind: str, reply: Reply, note: str
     if row >= program.exit_state:
         note = "no instruction to execute" if row == program.exit_state else "infinite jump chain"
         return TraceStep("deadlock", note=note, reply=reply)
-    action = program.rows[row][4]
-    return TraceStep(
-        kind,
-        position=row,
-        instruction=render_instruction(program.instructions[row - 1]),
-        action=None if action is None else str(action),
-        reply=reply,
-        note=note,
-    )
+    head = program.rows[row]
+    action = None if head[4] is None else str(head[4])
+    return TraceStep(kind, position=row, instruction=row_text(head), action=action, reply=reply, note=note)
 
 
 def walk(
@@ -331,8 +327,8 @@ def _pack_inputs(inputs: list[bool] | tuple[bool, ...]) -> int:
     return input_index(inputs)
 
 
-def compute(sequence: InstructionSequence, inputs: list[bool] | tuple[bool, ...], aux_count: int = 0) -> Reply:
-    """Run a program on Boolean inputs.
+def compute(sequence: Program, inputs: list[bool] | tuple[bool, ...], aux_count: int = 0) -> Reply:
+    """Run a program, a sequence or its compiled form, on Boolean inputs.
 
     The program's thread first uses aux:1..aux_count registers (all starting
     at t), then the reply is taken over input registers in:1..in:k holding
@@ -342,12 +338,13 @@ def compute(sequence: InstructionSequence, inputs: list[bool] | tuple[bool, ...]
     return walk(sequence.compiled, _pack_inputs(inputs), len(inputs), aux_count)
 
 
-def trace(sequence: InstructionSequence, inputs: list[bool] | tuple[bool, ...], aux_count: int = 0) -> list[TraceStep]:
+def trace(sequence: Program, inputs: list[bool] | tuple[bool, ...], aux_count: int = 0) -> list[TraceStep]:
     """Deterministic step log of a computation, truncated at ``TRACE_LIMIT`` records.
 
     The same walk as :func:`compute`, recording each executed basic or test
-    instruction. The last record carries the reply of the run; after a
-    truncation the walk goes on unrecorded, and the marker carries it.
+    instruction as text read from its row. The last record carries the reply
+    of the run; after a truncation the walk goes on unrecorded, and the
+    marker carries it.
     """
     steps: list[TraceStep] = []
     answer = walk(sequence.compiled, _pack_inputs(inputs), len(inputs), aux_count, steps)

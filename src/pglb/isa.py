@@ -12,11 +12,12 @@ A program is a non-empty, 1-indexed sequence of primitive instructions:
 Actions are either bare symbols or ``focus.method`` requests addressed to a
 named service (e.g. ``in:3.get``, ``aux:1.set:f``). The textual form uses
 ``;`` or newlines between instructions and ``//`` line comments. One
-pattern reads every token (:func:`_match_instruction`); a token it refuses
-is reported by its first malformed part (:func:`_refusal`). The
-constructors refuse what the parser refuses: ``tau`` (:data:`TAU`) and
-numbers of more than ``MAX_DIGITS`` digits. So all they build renders to
-text that :func:`parse` reads back.
+pattern reads every token, in one pass from text to the compiled form
+(:func:`pglb.extraction.compile_text`), and a token it refuses is reported
+by its first malformed part (:func:`_refusal`). Only :func:`parse` builds
+the instructions of text. The constructors refuse what it refuses: ``tau``
+(:data:`TAU`), ``bool`` numbers and numbers of more than ``MAX_DIGITS``
+digits. So all they build renders to text that :func:`parse` reads back.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .errors import ParseError
 
 # Methods understood by Boolean registers.
 GET = "get"
@@ -62,6 +62,8 @@ class Focus:
     name: str | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.index, bool):
+            raise ValueError(f"{self.kind} focus index must be an int, not {self.index!r}")
         if self.kind == "in":
             if self.index is None or self.index < 1 or self.name is not None:
                 raise ValueError(f"input focus needs an index >= 1, got {self.index!r}")
@@ -142,6 +144,8 @@ class NegTest:
 
 
 def _check_offset(jump: "FwdJump | BwdJump") -> None:
+    if isinstance(jump.offset, bool):
+        raise ValueError(f"jump length must be an int, not {jump.offset!r}")
     if jump.offset < 0:
         raise ValueError("jump offset must be >= 0")
     if jump.offset >= _TOO_MANY_DIGITS:
@@ -184,7 +188,7 @@ class InstructionSequence:
 
     @cached_property
     def compiled(self) -> "CompiledProgram":  # noqa: F821
-        """:func:`pglb.extraction.compile_program` of this sequence, computed on first use."""
+        """:func:`pglb.extraction.compile_program` of this sequence on first use; for :func:`parse`, the text's."""
         from .extraction import compile_program  # extraction imports this module
         return compile_program(self)
 
@@ -230,7 +234,7 @@ def render(sequence: InstructionSequence) -> str:
 
 
 def _refusal(token: str) -> str:
-    """Why :func:`_match_instruction` refuses ``token``: the first part of it, in reading order, that is malformed."""
+    """Why ``_TOKEN`` refuses ``token``: the first part of it, in reading order, that is malformed."""
     if token.startswith(("#", "\\#")):
         what, number = "jump length", token.split("#", 1)[1]
     else:
@@ -249,104 +253,40 @@ def _refusal(token: str) -> str:
     return f"bad {what} {number!r}"
 
 
-# The well-formed tokens of every instruction class but terminations: a jump, or an action
-# instruction. Only a token it does not match goes through _refusal, which words the error.
+# The well-formed tokens of every instruction class but terminations: a jump, or an action instruction, whose
+# text after the sign and spaces is the action's canonical text. _refusal words why it refuses a token, or tau.
 _TOKEN = re.compile(
     rf"(\\?)#({_NAT})|([+-]?)\s*(?:(?:in:({_POSITIVE})|aux:({_NAT})|({_IDENT}))\.({_METHOD})|({_IDENT}))"
 )
-_TERMINATIONS = {"!t": TERM_T, "!f": TERM_F}
 _BY_SIGN = {"": Basic, "+": PosTest, "-": NegTest}
 
 
-# Builders of a matched token's values that skip the constructors' checks: the pattern has made them.
-# Each sets every field of its class in declaration order, as __init__ does, so instances keep
-# their attribute layout; vars() of a built value equals that of a constructed one.
-_new, _set = object.__new__, object.__setattr__
-
-
-def _matched_focus(kind: str, index: int | None, name: str | None) -> Focus:
-    focus = _new(Focus)
-    _set(focus, "kind", kind)
-    _set(focus, "index", index)
-    _set(focus, "name", name)
-    return focus
-
-
-def _matched_action(name: str, focus: Focus | None) -> Action:
-    action = _new(Action)
-    _set(action, "name", name)
-    _set(action, "focus", focus)
-    return action
-
-
-def _matched_instruction(cls: type, field: str, value: object) -> Instruction:
-    """An instruction of a one-field class: a jump (``offset``) or an action instruction (``action``)."""
-    instruction = _new(cls)
-    _set(instruction, field, value)
-    return instruction
-
-
-def _match_instruction(token: str) -> Instruction | None:
-    """The instruction a well-formed token stands for, by one pattern; None for any other token.
-
-    A token the pattern matches in full is built without the constructors'
-    checks, which the pattern has made: a jump length is a natural number,
-    an input index is at least 1 and an aux index at least 0, names and
-    methods are well formed and no symbol is ``tau``.
-    """
-    found = _TERMINATIONS.get(token)
-    if found is not None:
-        return found
+def _instruction_of(token: str) -> Instruction:
+    """The instruction a well-formed token stands for, built through the constructors."""
+    if token == "!t" or token == "!f":
+        return TERM_T if token == "!t" else TERM_F
     match = _TOKEN.fullmatch(token)
-    if match is None:
-        return None
-    backslash, offset, sign, in_index, aux_index, name, method, symbol = match.groups()
+    backslash, offset, sign, in_index, aux_index, name, method, symbol = match.groups()  # type: ignore[union-attr]
     if offset is not None:
-        return _matched_instruction(BwdJump if backslash else FwdJump, "offset", int(offset))
-    if symbol is not None:
-        if symbol == "tau":
-            return None
-        return _matched_instruction(_BY_SIGN[sign], "action", _matched_action(symbol, None))
-    if in_index is not None:
-        focus = _matched_focus("in", int(in_index), None)
-    elif aux_index is not None:
-        focus = _matched_focus("aux", int(aux_index), None)
-    else:
-        focus = _matched_focus("named", None, name)
-    return _matched_instruction(_BY_SIGN[sign], "action", _matched_action(method, focus))
+        return (BwdJump if backslash else FwdJump)(int(offset))
+    if symbol:
+        return _BY_SIGN[sign](Action(symbol))
+    focus = Focus("in", int(in_index)) if in_index else Focus("aux", int(aux_index)) if aux_index else Focus.named(name)
+    return _BY_SIGN[sign](Action(method, focus))
 
 
 def parse(text: str) -> InstructionSequence:
     """Parse program text; instructions separated by ``;`` or newlines.
 
     ``//`` starts a comment running to the end of the line. Raises
-    :class:`ParseError` with a line:column position on malformed input.
-    Each distinct token is parsed once per call and its (frozen) instruction
-    shared; a malformed token fails at its first occurrence. A line is split
-    whole; each distinct segment of it is stripped and looked up once, and
-    the line's instructions are gathered in bulk. Only a malformed token's
-    column is computed.
+    :class:`ParseError` with a line:column position on malformed input, at
+    a malformed token's first occurrence. The text is read into its compiled
+    form (:func:`pglb.extraction.compile_text`), which the sequence keeps,
+    then one instruction is built per distinct token and shared.
     """
-    instructions: list[Instruction] = []
-    parsed: dict[str, Instruction] = {}  # token -> its one shared instruction
-    by_segment: dict[str, Instruction | None] = {}  # raw segment -> its token's instruction; None when blank
-    for lineno, line in enumerate(text.splitlines(), 1):
-        segments = line.split("//", 1)[0].split(";")
-        for segment in dict.fromkeys(segments):  # the line's distinct segments, in first-occurrence order
-            if segment in by_segment:
-                continue
-            token = segment.strip()
-            instruction = parsed.get(token)
-            if instruction is None and token:
-                instruction = _match_instruction(token)
-                if instruction is None:
-                    # No earlier segment holds this token, or it would have failed there.
-                    at = segments.index(segment)
-                    column = sum(map(len, segments[:at])) + at + segment.index(token[0]) + 1
-                    raise ParseError(_refusal(token), lineno, column)
-                parsed[token] = instruction
-            by_segment[segment] = instruction
-        instructions.extend(filter(None, map(by_segment.__getitem__, segments)))
-    if not instructions:
-        raise ParseError("empty instruction sequence")
-    return InstructionSequence(tuple(instructions))
+    from .extraction import compile_text  # extraction imports this module
+
+    program = compile_text(text)
+    sequence = InstructionSequence(program.instructions)
+    object.__setattr__(sequence, "compiled", program)  # fills the cached property
+    return sequence

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InfeasibleArityError
-from .interaction import reply_sets, walk
-from .isa import InstructionSequence
+from .interaction import Program, reply_sets, walk
 from .sat3 import encoding_to_text
 from .services import Reply
 from .synthesis import AND, Circuit, InputRef, NOT, PartialBooleanFunction, input_vector
@@ -96,9 +95,7 @@ def _set_bits(mask: int) -> list[int]:
     return found
 
 
-def equivalence_check(
-    sequence: InstructionSequence, fn: PartialBooleanFunction, aux_count: int = 0
-) -> EquivalenceReport:
+def equivalence_check(sequence: Program, fn: PartialBooleanFunction, aux_count: int = 0) -> EquivalenceReport:
     """Sweep all 2^k inputs; an empty report certifies that the program computes fn.
 
     Undefined table entries must come out as reply d. Where

@@ -370,7 +370,9 @@ def parse_netlist(text: str) -> Circuit:
         _check_operands(gates[-1], len(gates), input_count, lambda message: ParseError(message, lineno))
     if not gates:
         raise ParseError("netlist declares no gates")
-    return Circuit(input_count, tuple(gates))
+    circuit = object.__new__(Circuit)  # each gate was checked at its line: skip the constructor's second check
+    circuit.__dict__.update(input_count=input_count, gates=tuple(gates))
+    return circuit
 
 
 def format_netlist(circuit: Circuit) -> str:

@@ -113,20 +113,50 @@ def test_run_rejects_plain_actions(tmp_path, capsys):
 def test_one_run_compiles_its_program_once(tmp_path, capsys, monkeypatch):
     import pglb.extraction as extraction
 
-    compile_program = extraction.compile_program
+    compile_text = extraction.compile_text
     compiled = []
 
-    def counted(sequence):
-        compiled.append(sequence)
-        return compile_program(sequence)
+    def counted(text):
+        compiled.append(text)
+        return compile_text(text)
 
-    monkeypatch.setattr(extraction, "compile_program", counted)
+    def uncalled(sequence):
+        raise AssertionError("run compiled a sequence")
+
+    monkeypatch.setattr(cli, "compile_text", counted)
+    monkeypatch.setattr(extraction, "compile_program", uncalled)
     path = write(tmp_path, "p.pga", "+in:1.get; +aux:1.get; !t; !f")
     for flags in ((), ("--trace",)):
         compiled.clear()
         code, out, _ = run_cli(capsys, "run", path, "--in", "t", "--aux", "1", *flags)
         assert code == 0 and out.endswith("t\n")
         assert len(compiled) == 1
+
+
+def test_a_run_builds_no_instruction(tmp_path, capsys, monkeypatch):
+    import pglb.extraction as extraction
+
+    built = []
+    for cls in (pglb.Focus, pglb.Action, pglb.Basic, pglb.PosTest, pglb.NegTest, pglb.FwdJump, pglb.BwdJump):
+        check = cls.__post_init__
+
+        def counted(self, check=check):
+            built.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    build = extraction._instruction_of
+    monkeypatch.setattr(extraction, "_instruction_of", lambda token: built.append("instruction") or build(token))
+    path = write(tmp_path, "p.pga", "+ in:1.get // c\n#2; !f; aux:1.set:f; !t; !f")
+    assert run_cli(capsys, "run", path, "--in", "t", "--aux", "1") == (0, "t\n", "")
+    assert built == []
+    code, out, _ = run_cli(capsys, "run", path, "--in", "t", "--aux", "1", "--trace")
+    # The trace records are read from the rows: canonical text, and still no instruction.
+    assert code == 0 and out.splitlines()[0] == "[1] +in:1.get: in:1.get -> t"
+    assert built == []
+    # What reads instructions builds them, once per distinct token.
+    assert len(parse(Path(path).read_text()).instructions) == 6
+    assert built.count("instruction") == 5 and built.count("Action") == 2
 
 
 def test_run_rejects_bad_input_vector(tmp_path, capsys):

@@ -247,6 +247,14 @@ def test_constructors_refuse_numbers_parse_refuses():
         Basic(Action(GET, Focus.input(10**4300)))
 
 
+def test_constructors_refuse_bools():
+    # bool is an int subclass, but in:True.get and #True are not program text.
+    for build in (FwdJump, BwdJump, Focus.input, Focus.aux):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="not (True|False)$"):
+                build(flag)
+
+
 def test_constructors_take_any_number_when_the_interpreter_takes_any():
     env = dict(os.environ, PYTHONPATH=str(Path(pglb.__file__).parents[1]), PYTHONINTMAXSTRDIGITS="0")
     code = (

@@ -186,6 +186,22 @@ def test_netlist_round_trip():
         assert parse_netlist(format_netlist(circuit)) == circuit
 
 
+def test_a_parsed_netlist_checks_each_gate_once(monkeypatch):
+    import pglb.synthesis as synthesis
+
+    check, checked = synthesis._check_operands, []
+
+    def counted(gate, number, *rest):
+        checked.append(number)
+        check(gate, number, *rest)
+
+    monkeypatch.setattr(synthesis, "_check_operands", counted)
+    circuit = parse_netlist("inputs 2\ng1 = NOT x1\n\ng2 = AND g1 x2\ng3 = OR g2 x1\n")
+    assert checked == [1, 2, 3]
+    assert circuit == Circuit(2, circuit.gates)  # the constructor, which checks them all again, agrees
+    assert checked == [1, 2, 3, 1, 2, 3]
+
+
 def test_netlist_errors():
     with pytest.raises(ParseError):
         parse_netlist("inputs 2\n")

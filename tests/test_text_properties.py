@@ -1,7 +1,8 @@
 """Properties of the text layers: program text, truth-table files and the table compiler.
 
-``parse`` and ``render`` round-trip, parse errors point at the first
-occurrence of a bad token, table files round-trip, the table reader equals
+``parse`` and ``render`` round-trip, the one pass from text to the compiled
+form equals the compile of the sequence the text spells, parse errors point
+at the first occurrence of a bad token, table files round-trip, the table reader equals
 its line-at-a-time loop on well-formed and malformed files alike, and the
 table compiler equals its recursive definition (kept in ``thelpers`` as the
 reference).
@@ -33,7 +34,8 @@ from pglb import (
     render,
 )
 from pglb.cli import main
-from pglb.isa import MAX_DIGITS, _match_instruction, render_instruction
+from pglb.extraction import _row_head, _token_head, compile_program, compile_text
+from pglb.isa import MAX_DIGITS, render_instruction
 from pglb.synthesis import _parse_table_lines
 from thelpers import reference_compile_truth_table
 
@@ -70,11 +72,12 @@ def test_parse_inverts_render(sequence):
     assert parse(render(sequence)) == sequence
 
 
-# Numbers on both sides of the bound on digits (if any), and short names over characters an
-# identifier may and may not hold, tau among them.
+# Numbers on both sides of the bound on digits (if any), booleans, and short names over
+# characters an identifier may and may not hold, tau among them.
 _BOUND = max(MAX_DIGITS, 20)
 numbers = st.one_of(
     st.integers(-2, 30),
+    st.booleans(),
     st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(lambda pair: 10 ** (_BOUND + pair[0]) + pair[1]),
 )
 names = st.one_of(st.sampled_from(("tau", "get", "set:t", "in", "aux", "x_1")), st.text("tau1_:. é", max_size=4))
@@ -83,7 +86,7 @@ focus_fields = st.tuples(st.sampled_from(("in", "aux", "named")), st.none() | nu
 
 @st.composite
 def constructed_instructions(draw):
-    """An action instruction or jump built by the constructors from int and str arguments; None if one refuses them."""
+    """An action instruction or jump the constructors build from int, bool and str arguments; None if they refuse."""
     cls = draw(st.sampled_from((Basic, PosTest, NegTest, FwdJump, BwdJump)))
     jump = cls in (FwdJump, BwdJump)
     number, name, fields = (draw(numbers), None, None) if jump else (None, draw(names), draw(st.none() | focus_fields))
@@ -155,27 +158,98 @@ TOKEN_PIECES = (
     )
 )
 def test_a_token_matched_by_its_pattern_parses_alike(token):
-    matched = _match_instruction(token)
-    if matched is None:
+    head = _token_head(token)
+    if head is None:
         # The one pattern accepts every well-formed token: what it refuses does not parse.
         with pytest.raises(ParseError, match="^1:1: "):
             parse(token)
         return
-    # A matched token spells what it built, but for the spaces it may have after its sign.
-    assert render_instruction(matched) == re.sub(r"^([+-])\s+", r"\1", token)
-    # It is built without its constructors: each part must equal one rebuilt through its
-    # constructor, however the fields are read.
-    parts = [matched]
-    if hasattr(matched, "action"):
-        parts.append(matched.action)
-        if matched.action.focus is not None:
-            parts.append(matched.action.focus)
-    for built in parts:
-        constructed = type(built)(**vars(built))
-        assert built == constructed
-        assert repr(built) == repr(constructed)
-        assert hash(built) == hash(constructed)
-        assert vars(built) == vars(constructed)
+    (built,) = parse(token).instructions
+    # A matched token spells what is built from it, but for the spaces it may have after its sign.
+    assert render_instruction(built) == re.sub(r"^([+-])\s+", r"\1", token)
+    # Its row, read from the match, is the row of that instruction, its action as canonical text.
+    assert head == _as_text(_row_head(built))
+
+
+def _as_text(head):
+    """A row with its action as canonical text, as the pass over text holds it."""
+    return (*head[:4], None if head[4] is None else str(head[4]), *head[5:])
+
+
+# One spelling per distinct instruction: canonical, or with spaces after its sign.
+spelled_pools = st.lists(instructions, min_size=1, max_size=8).flatmap(
+    lambda pool: st.tuples(
+        st.just(list({render_instruction(u): u for u in pool}.values())),
+        st.lists(st.sampled_from(("", " ", "\t ")), min_size=len(pool), max_size=len(pool)),
+    )
+)
+# What may follow a token: a separator, blank segments, a comment, a line break.
+GAPS = ("; ", ";", " ;  ", ";;", "; ;\t;", "\n", " // ?; #x\n", ";\n\n  ", "//\n")
+
+
+@st.composite
+def spelled_programs(draw):
+    """A sequence sharing one instruction per distinct text, and a text that spells it in any layout."""
+    pool, spaces = draw(spelled_pools)
+    body = draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=40))
+    sequence = InstructionSequence(tuple(pool[j] for j in body))
+    spelling = [
+        re.sub(r"^([+-])", r"\g<1>" + space, text) if space else text
+        for text, space in zip(map(render_instruction, pool), spaces)
+    ]
+    if draw(st.booleans()):
+        return sequence, render(sequence)
+    gaps = draw(st.lists(st.sampled_from(GAPS), min_size=len(body), max_size=len(body)))
+    return sequence, "".join(spelling[j] + gap for j, gap in zip(body, gaps))
+
+
+@PROPERTY_SETTINGS
+@given(spelled_programs())
+def test_the_pass_over_text_equals_the_compile_of_its_sequence(case):
+    sequence, text = case
+    passed, compiled = compile_text(text), compile_program(sequence)
+    assert passed.rows == tuple(map(_as_text, compiled.rows))
+    assert passed.heads == tuple(map(_as_text, compiled.heads))
+    for field in ("landing", "exit_state", "states", "aux_named", "written", "acyclic"):
+        assert getattr(passed, field) == getattr(compiled, field)
+    # The instructions built on demand, one per distinct token, are the sequence's.
+    assert passed.instructions == sequence.instructions
+    assert len({id(u) for u in passed.instructions}) == len({id(u) for u in sequence.instructions})
+    assert parse(text) == sequence
+    assert parse(render(sequence)) == sequence
+
+
+# The refusals test_parse_errors_carry_positions pins, each with its whole message.
+PINNED_REFUSALS = (
+    ("#01", "bad jump length '01'"),
+    (r"\#x", "bad jump length 'x'"),
+    ("+in:x.get", "bad in focus index 'x'"),
+    ("aux:-1.set:t", "bad aux focus index '-1'"),
+    ("-in:0.get", "input focus index must be >= 1"),
+    ("a:b.get", "bad focus 'a:b'"),
+    ("+aux:1.get.t", "bad method 'get.t'"),
+    ("+ a?", "bad action 'a?'"),
+    ("tau", "'tau' is reserved for internal steps"),
+    ("+#1", "bad action '#1'"),
+)
+
+
+@PROPERTY_SETTINGS
+@given(spelled_programs(), st.sampled_from(PINNED_REFUSALS), st.integers(0, 10**6), st.sampled_from(("", "  ", "\t")))
+def test_a_malformed_token_fails_the_pass_as_it_fails_parse(case, refusal, where, pad):
+    _, text = case
+    token, message = refusal
+    # Insert the token where a segment starts, outside any comment; it is the first malformed one.
+    starts = [0] + [m.end() for m in re.finditer(r"[;\n]", text) if "//" not in text[: m.start()].rsplit("\n", 1)[-1]]
+    at = starts[where % len(starts)]
+    bad = text[:at] + pad + token + ";" + text[at:]
+    line = bad.count("\n", 0, at) + 1
+    column = at - (bad.rfind("\n", 0, at) + 1) + len(pad) + 1
+    for read in (compile_text, parse):
+        with pytest.raises(ParseError) as caught:
+            read(bad)
+        error = caught.value
+        assert (str(error), error.line, error.column) == (f"{line}:{column}: {message}", line, column)
 
 
 truth_tables = st.integers(0, 6).flatmap(

@@ -110,8 +110,9 @@ def loop_free(sequence: InstructionSequence) -> bool:
 
 
 def program_foci(sequence: InstructionSequence) -> set[Focus]:
-    """The foci of the program's actions, from its compiled form."""
-    return {action.focus for action in sequence.compiled.actions() if action.focus is not None}
+    """The foci of the program's actions, one look per distinct instruction."""
+    actions = (u.action for u in set(sequence.instructions) if isinstance(u, (Basic, PosTest, NegTest)))
+    return {action.focus for action in actions if action.focus is not None}
 
 
 def random_register(rng: random.Random) -> BooleanRegister:
