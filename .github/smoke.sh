@@ -10,12 +10,14 @@ set -eo pipefail
 
 pglb gen 3sat -k 1 > sat1.pga
 pglb run sat1.pga --in ffffffff --aux 1
+pglb fmt sat1.pga | cmp - sat1.pga
 pglb gen 3sat -k 2 > sat2.pga
 pglb fmt sat2.pga | cmp - sat2.pga
 printf '+in:1.get ;  !t;\t!f\n' > spaced.pga
 test "$(pglb run spaced.pga --in t)" = t
 printf 'k 2\nff f\nft t\ntf t\ntt f\n' > xor.tt
 pglb compile tt xor.tt > xor.pga
+pglb fmt xor.pga | cmp - xor.pga
 pglb verify xor.pga --tt xor.tt
 printf 'k 2\nff t\nft t\ntf t\ntt f\n' > flipped.tt
 status=0; pglb verify xor.pga --tt flipped.tt || status=$?
@@ -29,6 +31,7 @@ pglb verify xor-index.pga --tt xor-index.tt
 pglb verify xor.pga --tt xor-index.tt
 printf 'inputs 2\ng1 = NOT x1\ng2 = AND g1 x2\n' > c.net
 pglb compile circuit c.net > c.pga
+pglb fmt c.pga | cmp - c.pga
 printf 'k 2\nff f\nft t\ntf f\ntt f\n' > c.tt
 pglb verify c.pga --tt c.tt --aux 2
 printf 'k 2\nff f\nft f\ntf f\ntt f\n' > c-flipped.tt

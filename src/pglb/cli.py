@@ -15,25 +15,25 @@ from itertools import count
 from pathlib import Path
 
 from .errors import InfeasibleArityError, ParseError, StateSpaceCapExceeded
-from .extraction import compile_text, extract
+from .extraction import compile_text, extract, row_text
 from .interaction import DEFAULT_STATE_CAP, compute, trace
-from .isa import MAX_DIGITS, parse, render
+from .isa import MAX_DIGITS, parse
 from .oracle import equivalence_check
 from .sat3 import (
     clause_count,
     encode_cnf,
     encoding_to_text,
-    gen_3sat,
     gen_3sat_length,
+    gen_3sat_text,
     parse_dimacs,
     parse_encoding,
 )
 from .synthesis import (
-    compile_circuit,
-    compile_truth_table,
+    circuit_text,
     parse_netlist,
     parse_truth_table,
     truth_table_length,
+    truth_table_text,
 )
 from .threads import PostNode, RegularThread, project, render_term, thread_equations, thread_to_dot
 
@@ -49,7 +49,8 @@ def _read(path: str) -> str:
 
 
 def _cmd_fmt(args) -> int:
-    print(render(parse(_read(args.file))))
+    program = compile_text(_read(args.file))
+    print("; ".join(map(row_text, program.rows[1 : program.exit_state])))
     return EXIT_OK
 
 
@@ -115,12 +116,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compile_tt(args) -> int:
-    print(render(compile_truth_table(parse_truth_table(_read(args.file)))))
+    print(truth_table_text(parse_truth_table(_read(args.file))))
     return EXIT_OK
 
 
 def _cmd_compile_circuit(args) -> int:
-    print(render(compile_circuit(parse_netlist(_read(args.file)))))
+    print(circuit_text(parse_netlist(_read(args.file))))
     return EXIT_OK
 
 
@@ -139,7 +140,7 @@ def _check_3sat_size(k: int) -> None:
 
 def _cmd_gen_3sat(args) -> int:
     _check_3sat_size(args.k)
-    print(render(gen_3sat(args.k)))
+    print(gen_3sat_text(args.k))
     return EXIT_OK
 
 

@@ -16,22 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleArityError, ParseError, parse_decimal
-from .isa import (
-    Action,
-    Basic,
-    BwdJump,
-    Focus,
-    FwdJump,
-    GET,
-    InstructionSequence,
-    Instruction,
-    NegTest,
-    PosTest,
-    SET_F,
-    SET_T,
-    TERM_F,
-    TERM_T,
-)
+from .isa import InstructionSequence, parse
 
 
 @dataclass(frozen=True)
@@ -183,8 +168,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(k, frozenset(clauses))
 
 
-def _aux_get(i: int) -> Action:
-    return Action(GET, Focus.aux(i))
+def _check_text(shape: ClauseShape) -> str:
+    """The text of :func:`check_snippet`."""
+    return "; #2; ".join(f"{'+' if positive else '-'}aux:{variable}.get" for variable, positive in shape.literals())
 
 
 def check_snippet(shape: ClauseShape) -> InstructionSequence:
@@ -194,13 +180,15 @@ def check_snippet(shape: ClauseShape) -> InstructionSequence:
     first two followed by a forward skip; execution falls past the end iff
     some literal holds.
     """
-    instructions: list[Instruction] = []
-    for position, (variable, positive) in enumerate(shape.literals()):
-        test = PosTest if positive else NegTest
-        instructions.append(test(_aux_get(variable)))
-        if position < 2:
-            instructions.append(FwdJump(2))
-    return InstructionSequence(tuple(instructions))
+    return parse(_check_text(shape))
+
+
+def _next_text(k: int) -> str:
+    """The text of :func:`next_snippet`."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    steps = [f"-aux:{i}.get; #3; aux:{i}.set:f; #{3 if i == k else 5}; aux:{i}.set:t; " for i in range(1, k + 1)]
+    return f"{''.join(steps)}!f"
 
 
 def next_snippet(k: int) -> InstructionSequence:
@@ -210,23 +198,7 @@ def next_snippet(k: int) -> InstructionSequence:
     all-f assignment the registers are reset to t and the program terminates
     with reply f.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    instructions: list[Instruction] = []
-    for i in range(1, k + 1):
-        last = i == k
-        instructions.extend(
-            [
-                NegTest(_aux_get(i)),
-                FwdJump(3),
-                Basic(Action(SET_F, Focus.aux(i))),
-                FwdJump(3 if last else 5),
-                Basic(Action(SET_T, Focus.aux(i))),
-            ]
-        )
-        if last:
-            instructions.append(TERM_F)
-    return InstructionSequence(tuple(instructions))
+    return parse(_next_text(k))
 
 
 def gen_3sat_length(k: int) -> int:
@@ -238,28 +210,26 @@ def gen_3sat_length(k: int) -> int:
     return 72 * k**3 + 5 * k + 1
 
 
-def gen_3sat(k: int) -> InstructionSequence:
-    """Satisfiability decider for formulas over k variables, using one backward jump.
+def gen_3sat_text(k: int) -> str:
+    """Canonical text of the satisfiability decider for formulas over k variables, using one backward jump.
 
     Input registers in:1..in:8k^3 hold the formula encoding; aux:1..aux:k
-    hold the candidate assignment. Total length is :func:`gen_3sat_length`.
+    hold the candidate assignment. Each clause is probed and, when present,
+    checked; a check that fails chains length-9 jumps to the NEXT snippet,
+    and a check that holds falls through to the next probe. Total length is
+    :func:`gen_3sat_length`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     total = clause_count(k)
-    instructions: list[Instruction] = []
-    for m in range(1, total + 1):
-        check = check_snippet(phi(m, k)).instructions
-        probe = NegTest(Action(GET, Focus.input(m)))
-        if m < total:
-            # Skip the check when the clause is absent; on failure chain
-            # length-9 jumps to the first instruction after all checks.
-            instructions.extend([probe, FwdJump(8), *check, FwdJump(2), FwdJump(9)])
-        else:
-            instructions.extend([probe, FwdJump(6), *check, TERM_T])
-    instructions.extend(next_snippet(k).instructions)
-    instructions.append(BwdJump(gen_3sat_length(k) - 1))  # back to position 1
-    return InstructionSequence(tuple(instructions))
+    checks = [f"-in:{m}.get; #8; {_check_text(phi(m, k))}; #2; #9; " for m in range(1, total)]
+    last = f"-in:{total}.get; #6; {_check_text(phi(total, k))}; !t; "
+    return f"{''.join(checks)}{last}{_next_text(k)}; \\#{gen_3sat_length(k) - 1}"  # back to position 1
+
+
+def gen_3sat(k: int) -> InstructionSequence:
+    """:func:`gen_3sat_text` as a sequence, one instruction per distinct token."""
+    return parse(gen_3sat_text(k))
 
 
 def brute_sat(formula: CnfFormula) -> bool:

@@ -15,20 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import InfeasibleArityError, MalformedCircuitError, ParseError, parse_decimal
-from .isa import (
-    Action,
-    Basic,
-    Focus,
-    FwdJump,
-    GET,
-    InstructionSequence,
-    Instruction,
-    NegTest,
-    PosTest,
-    SET_F,
-    TERM_F,
-    TERM_T,
-)
+from .isa import InstructionSequence, parse
 from .sat3 import brute_sat, clause_count, decode, encoding_to_text
 
 
@@ -79,33 +66,30 @@ def truth_table_length(arity: int) -> int:
     return 3 * 2**arity - 2
 
 
-def compile_truth_table(fn: PartialBooleanFunction) -> InstructionSequence:
-    """Loop-free program of length 3*2^k - 2 computing the table, no aux registers.
+_LEAVES = {True: "!t", False: "!f", None: "#0"}
+
+
+def truth_table_text(fn: PartialBooleanFunction) -> str:
+    """Canonical text of a loop-free program of length 3*2^k - 2 computing the table, no aux registers.
 
     Nullary tables are a single !t, !f or #0 (whose behaviour is deadlock,
     hence reply d, for the undefined entry). Otherwise test the last input
     and jump over the compiled b=t restriction into the b=f restriction.
 
-    The restrictions are contiguous index ranges of ``fn.entries``, emitted
-    in pre-order from a stack; each level's test and jump are one shared pair.
+    The restrictions of arity a are the contiguous index ranges of size 2^a
+    of ``fn.entries``; built level by level, each range's text joins its two
+    halves, upper (b=t) first, in one comprehension per level.
     """
-    leaves = {True: TERM_T, False: TERM_F, None: FwdJump(0)}
-    heads = [()] + [
-        (NegTest(Action(GET, Focus.input(arity))), FwdJump(truth_table_length(arity - 1) + 1))
-        for arity in range(1, fn.arity + 1)
-    ]
-    entries = fn.entries
-    instructions: list[Instruction] = []
-    stack = [(0, fn.arity)]  # (first entry, arity) of each range still to emit
-    while stack:
-        start, arity = stack.pop()
-        if arity == 0:
-            instructions.append(leaves[entries[start]])
-            continue
-        instructions.extend(heads[arity])
-        stack.append((start, arity - 1))  # b=f restriction, emitted second
-        stack.append((start + (1 << (arity - 1)), arity - 1))  # b=t restriction, emitted first
-    return InstructionSequence(tuple(instructions))
+    texts = list(map(_LEAVES.__getitem__, fn.entries))
+    for arity in range(1, fn.arity + 1):
+        head = f"-in:{arity}.get; #{truth_table_length(arity - 1) + 1}; "
+        texts = [f"{head}{t_half}; {f_half}" for f_half, t_half in zip(texts[::2], texts[1::2])]
+    return texts[0]
+
+
+def compile_truth_table(fn: PartialBooleanFunction) -> InstructionSequence:
+    """:func:`truth_table_text` as a sequence, one instruction per distinct token."""
+    return parse(truth_table_text(fn))
 
 
 @dataclass(frozen=True)
@@ -156,40 +140,47 @@ class Circuit:
 def _check_operands(
     gate: Gate, number: int, input_count: int, error: Callable[[str], Exception] = MalformedCircuitError
 ) -> None:
-    """Raise ``error`` when gate ``number`` reads an input out of range or a gate not before it."""
+    """Raise ``error`` when gate ``number`` reads an input out of range, a gate not before it, or a non-int index."""
     for operand in (gate.left, gate.right):
+        if operand is None:
+            continue
+        if type(operand.index) is not int:  # a bool is an int, but its text is no index
+            raise error(f"gate {number} operand index must be an int, not {operand.index!r}")
         if isinstance(operand, InputRef):
             if not 1 <= operand.index <= input_count:
                 raise error(f"gate {number} reads input {operand.index}")
-        elif operand is not None and not 1 <= operand.index < number:
+        elif not 1 <= operand.index < number:
             raise error(f"gate {number} references gate {operand.index} (forward or self)")
 
 
-def _operand_get(operand: Operand) -> Action:
-    if isinstance(operand, InputRef):
-        return Action(GET, Focus.input(operand.index))
-    return Action(GET, Focus.aux(operand.index))
+def _read_text(operand: Operand) -> str:
+    """The text of the action that reads an operand: its input register, or its gate's aux register."""
+    return f"{'in' if isinstance(operand, InputRef) else 'aux'}:{operand.index}.get"
 
 
-def compile_circuit(circuit: Circuit) -> InstructionSequence:
-    """Loop-free program computing the circuit, one aux register per gate.
+def _gate_text(gate: Gate, number: int) -> str:
+    """The text that clears aux:``number`` when the gate is false."""
+    left = _read_text(gate.left)
+    if gate.op == NOT:
+        return f"+{left}; aux:{number}.set:f"
+    test, skip = ("-", 2) if gate.op == AND else ("+", 3)
+    return f"{test}{left}; #{skip}; -{_read_text(gate.right)}; aux:{number}.set:f"  # type: ignore[arg-type]
+
+
+def circuit_text(circuit: Circuit) -> str:
+    """Canonical text of a loop-free program computing the circuit, one aux register per gate.
 
     Register aux:j starts t and is cleared when gate j is false: NOT clears
     on a true operand, AND on either operand false, OR only when both are.
     The tail reads the output gate's register and terminates.
     """
-    instructions: list[Instruction] = []
-    for number, gate in enumerate(circuit.gates, 1):
-        clear = Basic(Action(SET_F, Focus.aux(number)))
-        left = _operand_get(gate.left)
-        if gate.op == NOT:
-            instructions.extend([PosTest(left), clear])
-        elif gate.op == AND:
-            instructions.extend([NegTest(left), FwdJump(2), NegTest(_operand_get(gate.right)), clear])
-        else:  # OR
-            instructions.extend([PosTest(left), FwdJump(3), NegTest(_operand_get(gate.right)), clear])
-    instructions.extend([PosTest(Action(GET, Focus.aux(len(circuit.gates)))), TERM_T, TERM_F])
-    return InstructionSequence(tuple(instructions))
+    gates = "; ".join(map(_gate_text, circuit.gates, range(1, len(circuit.gates) + 1)))
+    return f"{gates}; +aux:{len(circuit.gates)}.get; !t; !f"
+
+
+def compile_circuit(circuit: Circuit) -> InstructionSequence:
+    """:func:`circuit_text` as a sequence, one instruction per distinct token."""
+    return parse(circuit_text(circuit))
 
 
 def compile_3sat_loopfree(k: int) -> InstructionSequence:

@@ -154,6 +154,13 @@ def test_a_run_builds_no_instruction(tmp_path, capsys, monkeypatch):
     # The trace records are read from the rows: canonical text, and still no instruction.
     assert code == 0 and out.splitlines()[0] == "[1] +in:1.get: in:1.get -> t"
     assert built == []
+    # The generators and fmt write text: no instruction either.
+    table = write(tmp_path, "t.tt", "k 2\nff f\nft t\ntf t\ntt u\n")
+    netlist = write(tmp_path, "c.net", "inputs 2\ng1 = NOT x1\ng2 = AND g1 x2\ng3 = OR g2 x1\n")
+    for argv in (["compile", "tt", table], ["compile", "circuit", netlist], ["gen", "3sat", "-k", "2"], ["fmt", path]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out, argv
+    assert built == []
     # What reads instructions builds them, once per distinct token.
     assert len(parse(Path(path).read_text()).instructions) == 6
     assert built.count("instruction") == 5 and built.count("Action") == 2
@@ -515,7 +522,7 @@ def test_unexpected_errors_exit_four(capsys, monkeypatch):
     def broken(_k):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "gen_3sat", broken)
+    monkeypatch.setattr(cli, "gen_3sat_text", broken)
     code, out, err = run_cli(capsys, "gen", "3sat", "-k", "1")
     assert code == cli.EXIT_INTERNAL == 4
     assert not out and err.strip() == "internal error: RuntimeError: boom"

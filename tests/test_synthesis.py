@@ -139,6 +139,13 @@ def test_circuit_validation():
         Gate(AND, InputRef(1))  # wrong operand count
 
 
+def test_operand_indices_must_be_ints():
+    # A bool is an int to Python, but its text (in:True.get) is no program.
+    for operand in (InputRef(True), GateRef(True), InputRef(1.0), InputRef("1")):
+        with pytest.raises(MalformedCircuitError, match="operand index must be an int"):
+            Circuit(2, (Gate(NOT, InputRef(1)), Gate(NOT, operand)))
+
+
 def test_loopfree_sat_table_has_exact_length():
     prog = compile_3sat_loopfree(1)
     assert len(prog) == 3 * 2**8 - 2 == 766

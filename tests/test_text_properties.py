@@ -5,7 +5,7 @@ form equals the compile of the sequence the text spells, parse errors point
 at the first occurrence of a bad token, table files round-trip, the table reader equals
 its line-at-a-time loop on well-formed and malformed files alike, and the
 table compiler equals its recursive definition (kept in ``thelpers`` as the
-reference).
+reference), and the table text it parses is canonical and computes its table.
 """
 
 import re
@@ -28,6 +28,7 @@ from pglb import (
     TERM_F,
     TERM_T,
     compile_truth_table,
+    equivalence_check,
     format_truth_table,
     parse,
     parse_truth_table,
@@ -36,7 +37,7 @@ from pglb import (
 from pglb.cli import main
 from pglb.extraction import _row_head, _token_head, compile_program, compile_text
 from pglb.isa import MAX_DIGITS, render_instruction
-from pglb.synthesis import _parse_table_lines
+from pglb.synthesis import _parse_table_lines, truth_table_text
 from thelpers import reference_compile_truth_table
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
@@ -339,6 +340,15 @@ def test_malformed_table_files_fail_alike(fn, lexicographic, mutation, where, ch
 @given(truth_tables)
 def test_table_compiler_matches_its_recursive_definition(fn):
     assert compile_truth_table(fn).instructions == reference_compile_truth_table(fn)
+
+
+@PROPERTY_SETTINGS
+@given(truth_tables)
+def test_table_text_is_canonical_and_computes_its_table(fn):
+    text = truth_table_text(fn)
+    program = parse(text)
+    assert render(program) == text
+    assert equivalence_check(program, fn).ok
 
 
 def test_verify_rejects_a_huge_header_without_rows_quickly(tmp_path, capsys):
