@@ -113,3 +113,16 @@ status=0; pglb verify bad-second-line.pga --tt xor.tt > bad-verify.out 2> bad-ve
 test "$status" -eq 2
 test ! -s bad-verify.out
 test "$(head -c 17 bad-verify.err)" = "parse error: 2:5:"
+pglb extract --graph demo.pga > demo.dot
+printf 'a; #01\n' > refused.pga
+status=0; pglb extract refused.pga > refused-extract.out 2> refused-extract.err || status=$?
+test "$status" -eq 2
+test ! -s refused-extract.out
+test "$(head -c 12 refused-extract.err)" = "parse error:"
+status=0; pglb project refused.pga -n 2 > refused-project.out 2> refused-project.err || status=$?
+test "$status" -eq 2
+test ! -s refused-project.out
+test "$(head -c 12 refused-project.err)" = "parse error:"
+pglb fmt sat1.pga > sat1-fmt.pga
+pglb extract sat1.pga > sat1.eq
+pglb extract sat1-fmt.pga | cmp - sat1.eq

@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import InfeasibleArityError, ParseError, StateSpaceCapExceeded
 from .extraction import compile_text, extract, row_text
 from .interaction import DEFAULT_STATE_CAP, compute, trace
-from .isa import MAX_DIGITS, parse
+from .isa import MAX_DIGITS
 from .oracle import equivalence_check
 from .sat3 import (
     clause_count,
@@ -45,7 +45,10 @@ EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_fmt(args) -> int:
@@ -55,7 +58,7 @@ def _cmd_fmt(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    thread = extract(parse(_read(args.file)))
+    thread = extract(compile_text(_read(args.file)))
     print(thread_to_dot(thread) if args.graph else thread_equations(thread))
     return EXIT_OK
 
@@ -91,7 +94,7 @@ def _check_projection_size(thread: RegularThread, depth: int) -> None:
 
 
 def _cmd_project(args) -> int:
-    thread = extract(parse(_read(args.file)))
+    thread = extract(compile_text(_read(args.file)))
     _check_projection_size(thread, args.depth)
     print(render_term(project(thread, args.depth)))
     return EXIT_OK

@@ -7,34 +7,23 @@ negative test swaps the roles); jumps move the position without observable
 behaviour; ``!t``/``!f`` terminate. A cycle consisting solely of jumps is an
 infinite jump chain and deadlocks.
 
-A program is compiled once, to one shared row per distinct instruction
-indexed by position and one map from each position to where behaviour lands
-there (:class:`CompiledProgram`): text in one pass, a row per distinct token
-and no instruction object (:func:`compile_text`); a sequence, by
-:func:`compile_program`. Both the thread graph (:func:`extract_at`) and the
-execution walk in :mod:`pglb.interaction` are built from that form.
+A program is compiled once, from its text in one pass, to one shared row
+per distinct token indexed by position and one map from each position to
+where behaviour lands there (:class:`CompiledProgram`, :func:`compile_text`).
+A sequence built in code compiles as its rendered text. Both the thread
+graph (:func:`extract_at`) and the execution walk in
+:mod:`pglb.interaction` are built from that form; neither builds an
+instruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 
 from .errors import ParseError
-from .isa import (
-    Action,
-    GET,
-    Instruction,
-    InstructionSequence,
-    SET_F,
-    SET_T,
-    _TOKEN,
-    _instruction_of,
-    _refusal,
-    render_instruction,
-)
+from .isa import GET, InstructionSequence, SET_F, SET_T, _TOKEN, _action_of, _refusal
 from .threads import DEADLOCK, PostNode, RegularThread, S_MINUS, S_PLUS, StateLabel
 
 # Op kind of a compiled row. The walk treats kinds >= OP_TRUE as final.
@@ -55,8 +44,8 @@ _JUMP_KINDS = frozenset((_JUMP_FWD, _JUMP_BWD))
 _SIGN_OFFSETS = {"": (1, 1), "+": (1, 2), "-": (2, 1)}
 _SIGNS = {offsets: sign for sign, offsets in _SIGN_OFFSETS.items()}
 
-# Row head: kind, bank, index, method, action, then offset, else offset.
-_RowHead = tuple[int, int, int, int, "Action | str | None", int, int]
+# Row head: kind, bank, index, method, action as canonical text, then offset, else offset.
+_RowHead = tuple[int, int, int, int, str | None, int, int]
 _DEADLOCK_HEAD: _RowHead = (OP_DEADLOCK, BANK_NONE, 0, M_OTHER, None, 0, 0)
 
 
@@ -85,20 +74,11 @@ def _token_head(token: str) -> _RowHead | None:
     return (OP_ACTION, bank, number and number - 1, _METHODS.get(method, M_OTHER), action, *_SIGN_OFFSETS[sign])
 
 
-def _row_head(instruction: Instruction) -> _RowHead:
-    """The row of every position holding ``instruction``: the row of its text, holding its ``Action``.
-
-    All the constructors build renders to text that is read back, so the text's row has the same rules.
-    """
-    head = _token_head(render_instruction(instruction))
-    return (*head[:4], getattr(instruction, "action", None), *head[5:])  # type: ignore[index]
-
-
 def row_text(head: _RowHead) -> str:
     """The canonical text of the instruction a row stands for, as ``render`` writes it."""
     kind = head[0]
     if kind == OP_ACTION:
-        return _SIGNS[head[5:]] + str(head[4])
+        return _SIGNS[head[5:]] + head[4]  # type: ignore[operator]
     if kind < 0:
         return ("#" if kind == _JUMP_FWD else "\\#") + str(head[5])
     return "!t" if kind == OP_TRUE else "!f"
@@ -156,10 +136,10 @@ def _land_jumps(landing: list[int | None], rows: tuple[_RowHead, ...], jumps: li
 
 @dataclass(frozen=True, eq=False)
 class CompiledProgram:
-    """A program's thread indexed by position: one shared row per distinct instruction object or token.
+    """A program's thread indexed by position: one shared row per distinct token.
 
     ``rows[p]`` is the row at position p = 1..size; its action is the
-    ``Action``, or for compiled text its canonical text. A reply continues
+    action's canonical text, None for a jump or termination. A reply continues
     at ``landing[p + offset]``, where behaviour goes on once the jumps there
     are followed. The deadlock rows ``exit_state`` (behaviour left the
     program, as from position 0 or past the end) and ``exit_state + 1`` (an
@@ -184,12 +164,6 @@ class CompiledProgram:
     written: frozenset[int]
     acyclic: bool
 
-    @cached_property
-    def instructions(self) -> tuple[Instruction, ...]:
-        """The instruction at each position, built on first use, one per distinct row; a compiled sequence's own."""
-        built = {id(head): _instruction_of(row_text(head)) for head in self.heads}
-        return tuple(map(built.__getitem__, map(id, self.rows[1 : self.exit_state])))
-
     @property
     def compiled(self) -> CompiledProgram:
         return self
@@ -203,11 +177,37 @@ class CompiledProgram:
 Program = InstructionSequence | CompiledProgram
 
 
-def _assemble(body: list[_RowHead], heads: list[_RowHead]) -> CompiledProgram:
-    """The form whose positions hold the rows ``body``, of distinct rows ``heads``: the second half of a compile.
+def compile_text(text: str) -> CompiledProgram:
+    """Compile program text, as :func:`pglb.isa.parse` reads it, in one pass: the one compiler.
 
-    Aux indices become bits by rank (when they are not 1..n) and jumps are resolved, by ``map`` and ``compress``.
+    Per line, each distinct segment is stripped and looked up once, each new
+    token's row built from its match, and the rows gathered by ``map``. Then
+    aux indices become bits by rank (when they are not 1..n) and jumps are
+    resolved, by ``map`` and ``compress``. No instruction is built.
     """
+    body: list[_RowHead] = []
+    by_token: dict[str, _RowHead] = {}
+    by_segment: dict[str, _RowHead | None] = {}  # raw segment -> its token's row; None when blank
+    for lineno, line in enumerate(text.splitlines(), 1):
+        segments = line.split("//", 1)[0].split(";")
+        for segment in dict.fromkeys(segments):  # the line's distinct segments, in first-occurrence order
+            if segment in by_segment:
+                continue
+            token = segment.strip()
+            head = by_token.get(token)
+            if head is None and token:
+                head = _token_head(token)
+                if head is None:
+                    # No earlier segment holds this token, or it would have failed there.
+                    at = segments.index(segment)
+                    column = sum(map(len, segments[:at])) + at + segment.index(token[0]) + 1
+                    raise ParseError(_refusal(token), lineno, column)
+                by_token[token] = head
+            by_segment[segment] = head
+        body.extend(filter(None, map(by_segment.__getitem__, segments)))
+    if not body:
+        raise ParseError("empty instruction sequence")
+    heads = list(by_token.values())
     aux_named = sorted({head[2] + 1 for head in heads if head[1] == BANK_AUX})
     if aux_named and aux_named[-1] != len(aux_named):
         bit = {index - 1: r for r, index in enumerate(aux_named)}
@@ -233,50 +233,11 @@ def _assemble(body: list[_RowHead], heads: list[_RowHead]) -> CompiledProgram:
     )
 
 
-def compile_program(sequence: InstructionSequence) -> CompiledProgram:
-    """Compile ``sequence``, one row per distinct instruction object; ``sequence.compiled`` holds the result."""
-    instructions = sequence.instructions
-    ids = list(map(id, instructions))
-    heads_by_id = {key: _row_head(u) for key, u in dict(zip(ids, instructions)).items()}
-    program = _assemble(list(map(heads_by_id.__getitem__, ids)), list(heads_by_id.values()))
-    object.__setattr__(program, "instructions", instructions)  # fills the cached property
-    return program
+def extract_at(sequence: Program, start: int) -> RegularThread:
+    """Thread extraction beginning at an arbitrary position (0 and >k give D).
 
-
-def compile_text(text: str) -> CompiledProgram:
-    """Compile program text, as :func:`pglb.isa.parse` reads it, in one pass: the one reader of program text.
-
-    Per line, each distinct segment is stripped and looked up once, each new
-    token's row built from its match, and the rows gathered by ``map``. No
-    instruction is built until ``instructions`` is read.
+    One ``Action`` is built per distinct action row of the compiled form, and no instruction.
     """
-    body: list[_RowHead] = []
-    by_token: dict[str, _RowHead] = {}
-    by_segment: dict[str, _RowHead | None] = {}  # raw segment -> its token's row; None when blank
-    for lineno, line in enumerate(text.splitlines(), 1):
-        segments = line.split("//", 1)[0].split(";")
-        for segment in dict.fromkeys(segments):  # the line's distinct segments, in first-occurrence order
-            if segment in by_segment:
-                continue
-            token = segment.strip()
-            head = by_token.get(token)
-            if head is None and token:
-                head = _token_head(token)
-                if head is None:
-                    # No earlier segment holds this token, or it would have failed there.
-                    at = segments.index(segment)
-                    column = sum(map(len, segments[:at])) + at + segment.index(token[0]) + 1
-                    raise ParseError(_refusal(token), lineno, column)
-                by_token[token] = head
-            by_segment[segment] = head
-        body.extend(filter(None, map(by_segment.__getitem__, segments)))
-    if not body:
-        raise ParseError("empty instruction sequence")
-    return _assemble(body, list(by_token.values()))
-
-
-def extract_at(sequence: InstructionSequence, start: int) -> RegularThread:
-    """Thread extraction beginning at an arbitrary position (0 and >k give D)."""
     program = sequence.compiled
     rows, landing, exit_state = program.rows, program.landing, program.exit_state
 
@@ -299,17 +260,17 @@ def extract_at(sequence: InstructionSequence, start: int) -> RegularThread:
     order = sorted(keep)
     remap = {old: new for new, old in enumerate(order)}
     labels: list[StateLabel] = []
-    instructions = program.instructions  # compiled text builds them here, on first use
+    actions = {head[4]: _action_of(head[4]) for head in program.heads if head[4] is not None}
     for row in order:
         op = rows[row][0]
         if op == OP_ACTION:
             on_t, on_f = successors(row)
-            labels.append(PostNode(instructions[row - 1].action, remap[on_t], remap[on_f]))  # type: ignore[union-attr]
+            labels.append(PostNode(actions[rows[row][4]], remap[on_t], remap[on_f]))  # type: ignore[index]
         else:
             labels.append({OP_TRUE: S_PLUS, OP_FALSE: S_MINUS}.get(op, DEADLOCK))
     return RegularThread(tuple(labels), remap[root])
 
 
-def extract(sequence: InstructionSequence) -> RegularThread:
+def extract(sequence: Program) -> RegularThread:
     """``|X| = |1, X|``: extraction starting at the first instruction."""
     return extract_at(sequence, 1)

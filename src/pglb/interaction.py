@@ -161,8 +161,7 @@ def _step(program: CompiledProgram, row: int, kind: str, reply: Reply, note: str
         note = "no instruction to execute" if row == program.exit_state else "infinite jump chain"
         return TraceStep("deadlock", note=note, reply=reply)
     head = program.rows[row]
-    action = None if head[4] is None else str(head[4])
-    return TraceStep(kind, position=row, instruction=row_text(head), action=action, reply=reply, note=note)
+    return TraceStep(kind, position=row, instruction=row_text(head), action=head[4], reply=reply, note=note)
 
 
 def walk(

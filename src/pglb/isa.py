@@ -13,11 +13,12 @@ Actions are either bare symbols or ``focus.method`` requests addressed to a
 named service (e.g. ``in:3.get``, ``aux:1.set:f``). The textual form uses
 ``;`` or newlines between instructions and ``//`` line comments. One
 pattern reads every token, in one pass from text to the compiled form
-(:func:`pglb.extraction.compile_text`), and a token it refuses is reported
-by its first malformed part (:func:`_refusal`). Only :func:`parse` builds
-the instructions of text. The constructors refuse what it refuses: ``tau``
-(:data:`TAU`), ``bool`` numbers and numbers of more than ``MAX_DIGITS``
-digits. So all they build renders to text that :func:`parse` reads back.
+(:func:`pglb.extraction.compile_text`, the one compiler), and a token it
+refuses is reported by its first malformed part (:func:`_refusal`). Only
+:func:`parse` builds the instructions of text. The constructors refuse what
+it refuses: ``tau`` (:data:`TAU`), ``bool`` numbers and numbers of more than
+``MAX_DIGITS`` digits. So all they build renders to text that :func:`parse`
+reads back, and a sequence built in code compiles as that text.
 """
 
 from __future__ import annotations
@@ -188,9 +189,9 @@ class InstructionSequence:
 
     @cached_property
     def compiled(self) -> "CompiledProgram":  # noqa: F821
-        """:func:`pglb.extraction.compile_program` of this sequence on first use; for :func:`parse`, the text's."""
-        from .extraction import compile_program  # extraction imports this module
-        return compile_program(self)
+        """:func:`pglb.extraction.compile_text` of the sequence's rendered text on first use; for :func:`parse`, the text's."""
+        from .extraction import compile_text  # extraction imports this module
+        return compile_text(render(self))
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -261,18 +262,23 @@ _TOKEN = re.compile(
 _BY_SIGN = {"": Basic, "+": PosTest, "-": NegTest}
 
 
+def _action_of(text: str) -> Action:
+    """The action whose canonical text is ``text``, as a well-formed token spells it after its sign."""
+    focus, dot, method = text.partition(".")
+    if not dot:
+        return Action(text)
+    kind, colon, index = focus.partition(":")
+    return Action(method, Focus(kind, int(index)) if colon else Focus.named(focus))
+
+
 def _instruction_of(token: str) -> Instruction:
-    """The instruction a well-formed token stands for, built through the constructors."""
+    """The instruction a canonical token stands for, built through the constructors."""
     if token == "!t" or token == "!f":
         return TERM_T if token == "!t" else TERM_F
-    match = _TOKEN.fullmatch(token)
-    backslash, offset, sign, in_index, aux_index, name, method, symbol = match.groups()  # type: ignore[union-attr]
-    if offset is not None:
-        return (BwdJump if backslash else FwdJump)(int(offset))
-    if symbol:
-        return _BY_SIGN[sign](Action(symbol))
-    focus = Focus("in", int(in_index)) if in_index else Focus("aux", int(aux_index)) if aux_index else Focus.named(name)
-    return _BY_SIGN[sign](Action(method, focus))
+    if token.startswith(("#", "\\#")):
+        return (FwdJump if token[0] == "#" else BwdJump)(int(token.split("#", 1)[1]))
+    sign = token[0] if token[0] in "+-" else ""
+    return _BY_SIGN[sign](_action_of(token[len(sign) :]))
 
 
 def parse(text: str) -> InstructionSequence:
@@ -284,9 +290,10 @@ def parse(text: str) -> InstructionSequence:
     form (:func:`pglb.extraction.compile_text`), which the sequence keeps,
     then one instruction is built per distinct token and shared.
     """
-    from .extraction import compile_text  # extraction imports this module
+    from .extraction import compile_text, row_text  # extraction imports this module
 
     program = compile_text(text)
-    sequence = InstructionSequence(program.instructions)
+    built = {id(head): _instruction_of(row_text(head)) for head in program.heads}
+    sequence = InstructionSequence(tuple(map(built.__getitem__, map(id, program.rows[1 : program.exit_state]))))
     object.__setattr__(sequence, "compiled", program)  # fills the cached property
     return sequence

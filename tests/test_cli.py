@@ -66,6 +66,16 @@ def test_missing_file_is_a_usage_error(capsys):
     assert code == 2 and err
 
 
+def test_an_undecodable_file_is_named(tmp_path, capsys):
+    # verify reads two files: the message names the one that is not UTF-8.
+    program = write(tmp_path, "p.pga", "!t")
+    table = tmp_path / "t.tt"
+    table.write_bytes(b"\xffk 0\nt\n")
+    code, out, err = run_cli(capsys, "verify", program, "--tt", str(table))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {table}: 'utf-8' codec can't decode byte 0xff in position 0")
+
+
 def test_extract_prints_equations(tmp_path, capsys):
     path = write(tmp_path, "p.pga", LOOP_PROGRAM)
     code, out, _ = run_cli(capsys, "extract", path)
@@ -112,6 +122,7 @@ def test_run_rejects_plain_actions(tmp_path, capsys):
 
 def test_one_run_compiles_its_program_once(tmp_path, capsys, monkeypatch):
     import pglb.extraction as extraction
+    import pglb.isa as isa
 
     compile_text = extraction.compile_text
     compiled = []
@@ -124,7 +135,8 @@ def test_one_run_compiles_its_program_once(tmp_path, capsys, monkeypatch):
         raise AssertionError("run compiled a sequence")
 
     monkeypatch.setattr(cli, "compile_text", counted)
-    monkeypatch.setattr(extraction, "compile_program", uncalled)
+    # A sequence compiles as its rendered text.
+    monkeypatch.setattr(isa, "render", uncalled)
     path = write(tmp_path, "p.pga", "+in:1.get; +aux:1.get; !t; !f")
     for flags in ((), ("--trace",)):
         compiled.clear()
@@ -134,7 +146,7 @@ def test_one_run_compiles_its_program_once(tmp_path, capsys, monkeypatch):
 
 
 def test_a_run_builds_no_instruction(tmp_path, capsys, monkeypatch):
-    import pglb.extraction as extraction
+    import pglb.isa as isa
 
     built = []
     for cls in (pglb.Focus, pglb.Action, pglb.Basic, pglb.PosTest, pglb.NegTest, pglb.FwdJump, pglb.BwdJump):
@@ -145,8 +157,8 @@ def test_a_run_builds_no_instruction(tmp_path, capsys, monkeypatch):
             check(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    build = extraction._instruction_of
-    monkeypatch.setattr(extraction, "_instruction_of", lambda token: built.append("instruction") or build(token))
+    build = isa._instruction_of
+    monkeypatch.setattr(isa, "_instruction_of", lambda token: built.append("instruction") or build(token))
     path = write(tmp_path, "p.pga", "+ in:1.get // c\n#2; !f; aux:1.set:f; !t; !f")
     assert run_cli(capsys, "run", path, "--in", "t", "--aux", "1") == (0, "t\n", "")
     assert built == []
@@ -161,6 +173,14 @@ def test_a_run_builds_no_instruction(tmp_path, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out, argv
     assert built == []
+    # extract and project build the thread's actions from the rows, one per distinct action row, and no instruction.
+    shared = write(tmp_path, "shared.pga", "+in:1.get; -in:1.get; +in:1.get; x.flip; !t; a; !f")
+    for file, action_rows in ((path, 2), (shared, 4)):
+        for argv in (["extract", file], ["extract", "--graph", file], ["project", "-n", "3", file]):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out, argv
+            assert built.count("Action") == action_rows and set(built) <= {"Action", "Focus"}, argv
+            built.clear()
     # What reads instructions builds them, once per distinct token.
     assert len(parse(Path(path).read_text()).instructions) == 6
     assert built.count("instruction") == 5 and built.count("Action") == 2

@@ -27,7 +27,6 @@ from pglb import (
     trace,
     use_apply,
 )
-from pglb.extraction import compile_program
 from pglb.interaction import walk
 from thelpers import leaf, random_family, random_thread, walk_terminal
 
@@ -315,7 +314,7 @@ def test_state_cap_still_stops_a_long_run(monkeypatch):
     with pytest.raises(StateSpaceCapExceeded):
         compute(counter, [], 6)
     with pytest.raises(StateSpaceCapExceeded):
-        walk(compile_program(counter), 0, 0, 6, steps=[])
+        walk(counter.compiled, 0, 0, 6, steps=[])
 
 
 def test_truncated_trace_carries_the_reply_of_the_whole_run(monkeypatch):

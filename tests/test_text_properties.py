@@ -35,7 +35,7 @@ from pglb import (
     render,
 )
 from pglb.cli import main
-from pglb.extraction import _row_head, _token_head, compile_program, compile_text
+from pglb.extraction import BANK_AUX, _token_head, compile_text
 from pglb.isa import MAX_DIGITS, render_instruction
 from pglb.synthesis import _parse_table_lines, truth_table_text
 from thelpers import reference_compile_truth_table
@@ -165,16 +165,15 @@ def test_a_token_matched_by_its_pattern_parses_alike(token):
         with pytest.raises(ParseError, match="^1:1: "):
             parse(token)
         return
-    (built,) = parse(token).instructions
+    sequence = parse(token)
+    (built,) = sequence.instructions
     # A matched token spells what is built from it, but for the spaces it may have after its sign.
     assert render_instruction(built) == re.sub(r"^([+-])\s+", r"\1", token)
-    # Its row, read from the match, is the row of that instruction, its action as canonical text.
-    assert head == _as_text(_row_head(built))
-
-
-def _as_text(head):
-    """A row with its action as canonical text, as the pass over text holds it."""
-    return (*head[:4], None if head[4] is None else str(head[4]), *head[5:])
+    # Its row, read from the match, is the row of the parsed program, its action as canonical text;
+    # a lone aux register is ranked first, bit 0.
+    ranked = (*head[:2], 0, *head[3:]) if head[1] == BANK_AUX else head
+    assert sequence.compiled.rows[1] == ranked
+    assert head[4] is None or head[4] == str(built.action)
 
 
 # One spelling per distinct instruction: canonical, or with spaces after its sign.
@@ -208,15 +207,13 @@ def spelled_programs(draw):
 @given(spelled_programs())
 def test_the_pass_over_text_equals_the_compile_of_its_sequence(case):
     sequence, text = case
-    passed, compiled = compile_text(text), compile_program(sequence)
-    assert passed.rows == tuple(map(_as_text, compiled.rows))
-    assert passed.heads == tuple(map(_as_text, compiled.heads))
-    for field in ("landing", "exit_state", "states", "aux_named", "written", "acyclic"):
+    passed, compiled = compile_text(text), sequence.compiled
+    for field in ("rows", "heads", "landing", "exit_state", "states", "aux_named", "written", "acyclic"):
         assert getattr(passed, field) == getattr(compiled, field)
-    # The instructions built on demand, one per distinct token, are the sequence's.
-    assert passed.instructions == sequence.instructions
-    assert len({id(u) for u in passed.instructions}) == len({id(u) for u in sequence.instructions})
-    assert parse(text) == sequence
+    # parse builds one instruction per distinct token: the sequence's.
+    parsed = parse(text)
+    assert parsed == sequence
+    assert len({id(u) for u in parsed.instructions}) == len({id(u) for u in sequence.instructions})
     assert parse(render(sequence)) == sequence
 
 
