@@ -126,3 +126,9 @@ test "$(head -c 12 refused-project.err)" = "parse error:"
 pglb fmt sat1.pga > sat1-fmt.pga
 pglb extract sat1.pga > sat1.eq
 pglb extract sat1-fmt.pga | cmp - sat1.eq
+printf 'in:1.foo; !t\n' > unknown-method.pga
+pglb run unknown-method.pga --trace --in t > unknown-method.out
+printf '%s\n' '[1] in:1.foo: in:1.foo -> d' d | cmp - unknown-method.out
+printf '+aux:2.get; !t; !f\n' > aux-past-count.pga
+pglb run aux-past-count.pga --trace --aux 1 > aux-past-count.out
+printf '%s\n' '[1] no-service (no service under this focus)' d | cmp - <(tail -n 2 aux-past-count.out)

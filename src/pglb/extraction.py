@@ -240,34 +240,28 @@ def extract_at(sequence: Program, start: int) -> RegularThread:
     """
     program = sequence.compiled
     rows, landing, exit_state = program.rows, program.landing, program.exit_state
-
-    def successors(row: int) -> tuple[int, int]:
-        # Both deadlock rows become the thread's one deadlock state.
-        head = rows[row]
-        return min(landing[row + head[5]], exit_state), min(landing[row + head[6]], exit_state)
-
     root = min(program.entry(start), exit_state)
-    # Drop rows unreachable from the root, keeping position order.
-    keep: set[int] = set()
+    # Each row reachable from the root, with its pair of successors read once (None for a final row).
+    pairs: dict[int, tuple[int, int] | None] = {}
     stack = [root]
     while stack:
         row = stack.pop()
-        if row in keep:
+        if row in pairs:
             continue
-        keep.add(row)
-        if rows[row][0] == OP_ACTION:
-            stack.extend(successors(row))
-    order = sorted(keep)
-    remap = {old: new for new, old in enumerate(order)}
-    labels: list[StateLabel] = []
-    actions = {head[4]: _action_of(head[4]) for head in program.heads if head[4] is not None}
-    for row in order:
-        op = rows[row][0]
-        if op == OP_ACTION:
-            on_t, on_f = successors(row)
-            labels.append(PostNode(actions[rows[row][4]], remap[on_t], remap[on_f]))  # type: ignore[index]
+        head = rows[row]
+        if head[0] == OP_ACTION:
+            # Both deadlock rows become the thread's one deadlock state.
+            pair = pairs[row] = min(landing[row + head[5]], exit_state), min(landing[row + head[6]], exit_state)
+            stack.extend(pair)
         else:
-            labels.append({OP_TRUE: S_PLUS, OP_FALSE: S_MINUS}.get(op, DEADLOCK))
+            pairs[row] = None
+    remap = {old: new for new, old in enumerate(sorted(pairs))}  # unreachable rows dropped, position order kept
+    actions = {head[4]: _action_of(head[4]) for head in program.heads if head[4] is not None}
+    finals = {OP_TRUE: S_PLUS, OP_FALSE: S_MINUS}
+    labels: list[StateLabel] = [
+        PostNode(actions[rows[row][4]], remap[pair[0]], remap[pair[1]]) if pair else finals.get(rows[row][0], DEADLOCK)
+        for row, pair in sorted(pairs.items())
+    ]
     return RegularThread(tuple(labels), remap[root])
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import StateSpaceCapExceeded
 from .extraction import (
@@ -155,12 +155,25 @@ class TraceStep:
 _FINAL_REPLY = (Reply.T, Reply.F, Reply.D)  # by op kind, from OP_TRUE on
 
 
-def _step(program: CompiledProgram, row: int, kind: str, reply: Reply, note: str = "") -> TraceStep:
-    """The trace record of ``row``: the instruction at that position, or a deadlock row."""
+def _served(program: CompiledProgram, input_count: int, aux_count: int) -> tuple[int, int, int]:
+    """By bank, the bound below which a row's register index is served: the one statement of what a run serves.
+
+    Indexed by ``BANK_IN``, ``BANK_AUX`` and ``BANK_NONE``: the inputs, the
+    aux registers the program names up to ``aux_count``, and 0, so no run
+    serves aux:0, a named focus or a bare symbol.
+    """
+    if aux_count < 0:
+        raise ValueError("aux_count must be >= 0")
+    return input_count, bisect_right(program.aux_named, aux_count), 0
+
+
+def _step(program: CompiledProgram, row: int, kind: str, reply: Reply) -> TraceStep:
+    """The trace record of ``row``, worded from its kind: the instruction at that position, or a deadlock row."""
     if row >= program.exit_state:
         note = "no instruction to execute" if row == program.exit_state else "infinite jump chain"
         return TraceStep("deadlock", note=note, reply=reply)
     head = program.rows[row]
+    note = {"no-service": "no service under this focus", "divergent": "configuration cycle"}.get(kind, "")
     return TraceStep(kind, position=row, instruction=row_text(head), action=head[4], reply=reply, note=note)
 
 
@@ -177,29 +190,29 @@ def walk(
     (i = 1..input_count). Registers aux:1..aux_count all start at t. Only
     the aux registers the program names are packed into an int, bit r-1 for
     the one of rank r (see :class:`~pglb.extraction.CompiledProgram`):
-    nothing reads the others.
+    nothing reads the others. A row is served when its index is below its
+    bank's bound (:func:`_served`).
     Any reply d ends the run: an unknown method, a bare symbol or a focus
     no register serves (aux:0, a named focus, an index out of range) or a
     deadlock. A configuration (position, aux bits, input bits) seen twice
     means the run never terminates, reply d; when the program writes no
     input register, the input bits never change, so one int of aux bits
     and position keys it. Raises :class:`StateSpaceCapExceeded` when the
-    run visits more than ``DEFAULT_STATE_CAP`` configurations.
+    run visits more than ``DEFAULT_STATE_CAP`` configurations. Every end
+    leaves the loop with its reply and its kind.
 
     With a ``steps`` list, one :class:`TraceStep` per visited row is
     appended until ``TRACE_LIMIT`` records, then a truncation marker; the
-    walk goes on to the reply either way.
+    walk goes on to the reply either way, and the last record carries it.
 
-    :func:`reply_sets` implements the same rules for all inputs at once;
-    a change to one must be made to the other.
+    :func:`reply_sets` applies the same method rules to all inputs at once;
+    a change to them in one must be made to the other.
     """
-    if aux_count < 0:
-        raise ValueError("aux_count must be >= 0")
+    bound = _served(program, input_count, aux_count)
     rows, landing = program.rows, program.landing
     recording = steps is not None
     log: list[TraceStep] = steps if steps is not None else []
-    served = bisect_right(program.aux_named, aux_count)  # the bits 0..served-1 hold a register
-    aux = (1 << served) - 1
+    aux = (1 << bound[BANK_AUX]) - 1
     seen: set[object] = set()
     max_states, max_steps = DEFAULT_STATE_CAP, TRACE_LIMIT
     packed_key = BANK_IN not in program.written
@@ -207,30 +220,22 @@ def walk(
     state = program.entry()
     while True:
         if recording and len(log) >= max_steps:
-            log.append(TraceStep("truncated", note=f"after {max_steps} steps"))
             recording = False
         op, b, i, m, _, on_t, on_f = rows[state]
         if op >= OP_TRUE:
-            answer = _FINAL_REPLY[op - OP_TRUE]
-            if recording:
-                log.append(_step(program, state, "terminate", answer))
-            return answer
+            answer, end = _FINAL_REPLY[op - OP_TRUE], "terminate"
+            break
         key = aux << shift | state if packed_key else (state, aux, inputs)
         if key in seen:
-            if recording:
-                log.append(TraceStep("divergent", position=state, note="configuration cycle", reply=Reply.D))
-            return Reply.D
+            answer, end = Reply.D, "divergent"
+            break
         seen.add(key)
         if len(seen) > max_states:
             raise StateSpaceCapExceeded(f"a run visited more than {max_states} configurations")
-        if b == BANK_AUX and i < served:
-            regs = aux
-        elif b == BANK_IN and i < input_count:
-            regs = inputs
-        else:
-            if recording:
-                log.append(_step(program, state, "no-service", Reply.D, "no service under this focus"))
-            return Reply.D
+        if i >= bound[b]:
+            answer, end = Reply.D, "no-service"
+            break
+        regs = aux if b == BANK_AUX else inputs
         if m == M_GET:
             bit = regs >> i & 1
         elif m == M_SET_T:
@@ -240,9 +245,8 @@ def walk(
             regs &= ~(1 << i)
             bit = 1
         else:
-            if recording:
-                log.append(_step(program, state, "action", Reply.D))
-            return Reply.D
+            answer, end = Reply.D, "action"
+            break
         if recording:
             log.append(_step(program, state, "action", Reply.T if bit else Reply.F))
         if b == BANK_AUX:
@@ -250,6 +254,11 @@ def walk(
         else:
             inputs = regs
         state = landing[state + (on_t if bit else on_f)]
+    if recording:
+        log.append(_step(program, state, end, answer))
+    elif steps is not None:
+        log.append(TraceStep("truncated", note=f"after {max_steps} steps", reply=answer))
+    return answer
 
 
 def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -> tuple[int, int, int] | None:
@@ -267,22 +276,22 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
     higher row. ``reach[r]`` holds the inputs whose run reaches row r; no
     run reaches a jump position. Each served register is held as the mask of
     the inputs whose run has it at t: in:i starts as bit i-1 of the table
-    index, an aux register as all inputs. The rules are :func:`walk`'s,
-    applied to a set of inputs at once. This is exact: a run that reaches
+    index, an aux register as all inputs. A row is served by the bound
+    :func:`walk` uses (:func:`_served`), and the method rules are the walk's,
+    applied to a set of inputs at once; a change to them in one must be made
+    to the other. This is exact: a run that reaches
     row r has visited only lower rows, which are done, and a row changes a
     register's bits only for the runs that reach it. The register masks
     take at most (input_count + aux registers named) * 2^input_count bits;
     the aux part is within the budget, as each named register has a row.
     """
-    if aux_count < 0:
-        raise ValueError("aux_count must be >= 0")
+    bound = _served(program, input_count, aux_count)
     states = program.states
     if not program.acyclic or states > DEFAULT_STATE_CAP or states << input_count > REPLY_SETS_BIT_BUDGET:
         return None
     rows, landing, root = program.rows, program.landing, program.entry()
-    served = bisect_right(program.aux_named, aux_count)
     everyone = (1 << (1 << input_count)) - 1
-    ins, auxes = input_masks(input_count), [everyone] * served
+    registers = (input_masks(input_count), [everyone] * bound[BANK_AUX])  # by bank
     reach = [0] * len(rows)
     reach[root] = everyone
     finals = [0, 0, 0]  # the t, f and d sets, by op kind from OP_TRUE on
@@ -296,13 +305,10 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
         if op >= OP_TRUE:
             finals[op - OP_TRUE] |= here
             continue
-        if b == BANK_AUX and i < served:
-            regs = auxes
-        elif b == BANK_IN and i < input_count:
-            regs = ins
-        else:
+        if i >= bound[b]:
             finals[2] |= here
             continue
+        regs = registers[b]
         if m == M_GET:
             on = here & regs[i]
         elif m == M_SET_T:
@@ -346,7 +352,5 @@ def trace(sequence: Program, inputs: list[bool] | tuple[bool, ...], aux_count: i
     marker carries it.
     """
     steps: list[TraceStep] = []
-    answer = walk(sequence.compiled, _pack_inputs(inputs), len(inputs), aux_count, steps)
-    if steps[-1].kind == "truncated":
-        steps[-1] = replace(steps[-1], reply=answer)
+    walk(sequence.compiled, _pack_inputs(inputs), len(inputs), aux_count, steps)
     return steps

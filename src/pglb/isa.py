@@ -220,18 +220,8 @@ def render_instruction(instruction: Instruction) -> str:
 
 
 def render(sequence: InstructionSequence) -> str:
-    """Canonical single-line form; ``parse(render(s)) == s``.
-
-    Each distinct instruction object is rendered once per call.
-    """
-    rendered: dict[int, str] = {}
-    parts = []
-    for u in sequence.instructions:
-        text = rendered.get(id(u))
-        if text is None:
-            text = rendered[id(u)] = render_instruction(u)
-        parts.append(text)
-    return "; ".join(parts)
+    """Canonical single-line form; ``parse(render(s)) == s``."""
+    return "; ".join(map(render_instruction, sequence.instructions))
 
 
 def _refusal(token: str) -> str:

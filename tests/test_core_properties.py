@@ -44,9 +44,8 @@ from pglb import (
     trace,
     use_apply,
 )
-from pglb.extraction import BANK_AUX, BANK_IN, BANK_NONE, M_SET_F, M_SET_T
 from pglb.interaction import reply_sets, walk
-from thelpers import loop_free, reference_compile_program
+from thelpers import compiled_differences, direct_jump, jump_landing
 
 FOCI = (
     [Focus.input(i) for i in range(1, 5)]
@@ -144,44 +143,7 @@ def test_a_negative_aux_count_is_rejected_on_both_paths():
 def test_compile_program_matches_the_reference(program):
     # The parsed copy shares one object per distinct instruction, as parse output does.
     for sequence in (program, parse(render(program))):
-        size = len(sequence)
-        compiled = sequence.compiled
-        rows, landing = compiled.rows, compiled.landing
-
-        def where(row):
-            # A row as the reference's position field names it: the two deadlock rows follow the last position.
-            return row if row <= size else {size + 1: 0, size + 2: None}[row]
-
-        for start in range(-1, size + 4):
-            reference = reference_compile_program(sequence, start)
-            assert where(compiled.entry(start)) == reference["position"][reference["root"]]
-        position = reference["position"]
-        # A register row holds its register's bit: i-1 for in:i, and r-1 for the aux index of rank r
-        # among the aux indices above 0 the program names. No run serves aux:0.
-        named = sorted({i for b, i in zip(reference["bank"], reference["index"]) if b == BANK_AUX and i > 0})
-        assert compiled.aux_named == tuple(named)
-
-        def bit(bank, index):
-            if bank == BANK_AUX:
-                return (BANK_AUX, named.index(index)) if index else (BANK_NONE, 0)
-            return (bank, index - 1) if bank == BANK_IN else (bank, index)
-
-        for state, p in enumerate(position[:-2]):
-            kind, bank, index, method, action, on_t, on_f = rows[p]
-            expected = [reference[name][state] for name in ("kind", "bank", "index", "method", "action")]
-            expected[1:3] = bit(*expected[1:3])
-            # A row holds its action as canonical text.
-            expected[4] = None if expected[4] is None else str(expected[4])
-            assert (kind, bank, index, method, action) == tuple(expected)
-            assert where(landing[p + on_t]) == position[reference["then_state"][state]]
-            assert where(landing[p + on_f]) == position[reference["else_state"][state]]
-        assert compiled.states == reference["exit_state"]
-        assert compiled.written == {
-            bit(b, i)[0]
-            for b, i, m in zip(reference["bank"], reference["index"], reference["method"])
-            if m in (M_SET_T, M_SET_F)
-        }
-        assert compiled.acyclic is loop_free(sequence)
+        assert compiled_differences(sequence, sequence.compiled) == []
 
 
 # Without backward jumps, but with register writes, flip, aux:0, a register
@@ -253,27 +215,6 @@ def test_reply_sets_keep_few_masks_alive_on_an_arity_16_table():
     assert peak < 16 * 2**20
 
 
-def _landing(body, p: int) -> int | None:
-    """Where the jump chain from position p lands: a non-jump position, 0 when it leaves, None on a cycle."""
-    followed = set()
-    while 1 <= p <= len(body) and isinstance(body[p - 1], (FwdJump, BwdJump)):
-        if p in followed:
-            return None
-        followed.add(p)
-        jump = body[p - 1]
-        p = p + jump.offset if isinstance(jump, FwdJump) else p - jump.offset
-    return p if 1 <= p <= len(body) else 0
-
-
-def _direct_jump(p: int, landing: int | None, size: int):
-    """One jump from position p straight to ``landing``: past the end when it is 0, ``#0`` on a cycle."""
-    if landing is None:
-        return FwdJump(0)
-    if landing == 0:
-        return FwdJump(size + 1 - p)
-    return FwdJump(landing - p) if landing > p else BwdJump(p - landing)
-
-
 @PROPERTY_SETTINGS
 @given(programs)
 def test_bisimilarity_is_invariant_under_jump_chain_rewrites(program):
@@ -282,7 +223,7 @@ def test_bisimilarity_is_invariant_under_jump_chain_rewrites(program):
     direct = list(body)
     for p, instruction in enumerate(body, 1):
         if isinstance(instruction, (FwdJump, BwdJump)):
-            jump = _direct_jump(p, _landing(body, p), len(body))
+            jump = direct_jump(p, jump_landing(body, p), len(body))
             direct[p - 1] = jump
             assert bisimilar(thread, extract(InstructionSequence(body[: p - 1] + (jump,) + body[p:])))
     assert bisimilar(thread, extract(InstructionSequence(tuple(direct))))

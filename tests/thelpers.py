@@ -321,8 +321,87 @@ def reference_compile_program(sequence, start: int = 1) -> dict:
         "position": tuple(positions) + (0, None),
         "action": action,
         "root": target(start),
+        "target": target,  # the state where behaviour starting at a position continues
         "exit_state": exit_state,
     }
+
+
+def compiled_differences(sequence, compiled) -> list[str]:
+    """Where ``compiled`` differs from ``reference_compile_program(sequence)``: empty when nowhere.
+
+    Checks the entry row of every start position from -1 to size+3, and each
+    position's row and successors, the aux indices named, the state count,
+    the banks written and ``acyclic``.
+    """
+    from pglb.extraction import BANK_AUX, BANK_IN, BANK_NONE, M_SET_F, M_SET_T
+
+    size = len(sequence)
+    rows, landing = compiled.rows, compiled.landing
+    found = []
+
+    def where(row):
+        # A row as the reference's position field names it: the two deadlock rows follow the last position.
+        return row if row <= size else {size + 1: 0, size + 2: None}[row]
+
+    reference = reference_compile_program(sequence)
+    position = reference["position"]
+    for start in range(-1, size + 4):
+        if where(compiled.entry(start)) != position[reference["target"](start)]:
+            found.append(f"entry of {start}")
+    # A register row holds its register's bit: i-1 for in:i, and r-1 for the aux index of rank r
+    # among the aux indices above 0 the program names. No run serves aux:0.
+    named = sorted({i for b, i in zip(reference["bank"], reference["index"]) if b == BANK_AUX and i > 0})
+    if compiled.aux_named != tuple(named):
+        found.append("aux_named")
+
+    def bit(bank, index):
+        if bank == BANK_AUX:
+            return (BANK_AUX, named.index(index)) if index else (BANK_NONE, 0)
+        return (bank, index - 1) if bank == BANK_IN else (bank, index)
+
+    for state, p in enumerate(position[:-2]):
+        kind, bank, index, method, action, on_t, on_f = rows[p]
+        expected = [reference[name][state] for name in ("kind", "bank", "index", "method", "action")]
+        expected[1:3] = bit(*expected[1:3])
+        # A row holds its action as canonical text.
+        expected[4] = None if expected[4] is None else str(expected[4])
+        if (kind, bank, index, method, action) != tuple(expected):
+            found.append(f"row {p}")
+        if where(landing[p + on_t]) != position[reference["then_state"][state]]:
+            found.append(f"then-successor of {p}")
+        if where(landing[p + on_f]) != position[reference["else_state"][state]]:
+            found.append(f"else-successor of {p}")
+    if compiled.states != reference["exit_state"]:
+        found.append("states")
+    written = {
+        bit(b, i)[0] for b, i, m in zip(reference["bank"], reference["index"], reference["method"]) if m in (M_SET_T, M_SET_F)
+    }
+    if compiled.written != written:
+        found.append("written")
+    if compiled.acyclic is not loop_free(sequence):
+        found.append("acyclic")
+    return found
+
+
+def jump_landing(body, p: int) -> int | None:
+    """Where the jump chain from position p lands: a non-jump position, 0 when it leaves, None on a cycle."""
+    followed = set()
+    while 1 <= p <= len(body) and isinstance(body[p - 1], (FwdJump, BwdJump)):
+        if p in followed:
+            return None
+        followed.add(p)
+        jump = body[p - 1]
+        p = p + jump.offset if isinstance(jump, FwdJump) else p - jump.offset
+    return p if 1 <= p <= len(body) else 0
+
+
+def direct_jump(p: int, landing: int | None, size: int):
+    """One jump from position p straight to ``landing``: past the end when it is 0, ``#0`` on a cycle."""
+    if landing is None:
+        return FwdJump(0)
+    if landing == 0:
+        return FwdJump(size + 1 - p)
+    return FwdJump(landing - p) if landing > p else BwdJump(p - landing)
 
 
 def reference_projection_nodes(thread: RegularThread, depth: int, cap: int | None = None) -> int:
