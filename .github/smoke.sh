@@ -131,4 +131,8 @@ pglb run unknown-method.pga --trace --in t > unknown-method.out
 printf '%s\n' '[1] in:1.foo: in:1.foo -> d' d | cmp - unknown-method.out
 printf '+aux:2.get; !t; !f\n' > aux-past-count.pga
 pglb run aux-past-count.pga --trace --aux 1 > aux-past-count.out
-printf '%s\n' '[1] no-service (no service under this focus)' d | cmp - <(tail -n 2 aux-past-count.out)
+printf '%s\n' '[1] no-service (aux:2 past --aux 1)' d | cmp - <(tail -n 2 aux-past-count.out)
+printf '+aux:1.get; aux:1.set:f; aux:2.set:t; \\#2\n' > merge-loop.pga
+test "$(pglb run merge-loop.pga --aux 2)" = d
+pglb run merge-loop.pga --aux 2 --trace > merge-loop.out
+printf '%s\n' '[3] divergent (configuration cycle)' d | cmp - <(tail -n 2 merge-loop.out)

@@ -19,8 +19,6 @@ instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
 
 from .errors import ParseError
 from .isa import GET, InstructionSequence, SET_F, SET_T, _TOKEN, _action_of, _refusal
@@ -33,13 +31,11 @@ BANK_IN, BANK_AUX, BANK_NONE = range(3)
 # Method code of an action.
 M_GET, M_SET_T, M_SET_F, M_OTHER = range(4)
 
-_BANKS = {"in": BANK_IN, "aux": BANK_AUX}
 _METHODS = {GET: M_GET, SET_T: M_SET_T, SET_F: M_SET_F}
 
 
-# Kind of a jump's row head; no run lands on it.
+# Kind of a jump's row head, below every other kind; no run lands on it.
 _JUMP_FWD, _JUMP_BWD = -1, -2
-_JUMP_KINDS = frozenset((_JUMP_FWD, _JUMP_BWD))
 # Successor offsets (on reply t, on reply f) of the instructions that perform an action, by sign.
 _SIGN_OFFSETS = {"": (1, 1), "+": (1, 2), "-": (2, 1)}
 _SIGNS = {offsets: sign for sign, offsets in _SIGN_OFFSETS.items()}
@@ -47,31 +43,31 @@ _SIGNS = {offsets: sign for sign, offsets in _SIGN_OFFSETS.items()}
 # Row head: kind, bank, index, method, action as canonical text, then offset, else offset.
 _RowHead = tuple[int, int, int, int, str | None, int, int]
 _DEADLOCK_HEAD: _RowHead = (OP_DEADLOCK, BANK_NONE, 0, M_OTHER, None, 0, 0)
+_FINAL_HEADS: dict[str, _RowHead] = {"!t": (OP_TRUE, *_DEADLOCK_HEAD[1:]), "!f": (OP_FALSE, *_DEADLOCK_HEAD[1:])}
 
 
 def _token_head(token: str) -> _RowHead | None:
-    """The row of every position spelling ``token``, read from its one match; None when it is malformed.
+    """The row of every position spelling ``token``, built from its one match; None when it is malformed.
 
     The offsets lead to where the replies continue; a termination's are 0. No
     run serves a bare symbol, a named focus or aux:0 (``BANK_NONE``). A register
     row's index is i-1 for in:i, its bit as input i is of a table index, and
-    i-1 for aux:i until ranked. The action is its canonical text, the token after its sign.
+    i-1 for aux:i until ranked. The action is its canonical text, the match's group for the
+    token after its sign and spaces. The pattern refuses ``!t`` and ``!f``; their rows are looked up.
     """
-    if token == "!t" or token == "!f":
-        return (OP_TRUE if token == "!t" else OP_FALSE, BANK_NONE, 0, M_OTHER, None, 0, 0)
     match = _TOKEN.fullmatch(token)
     if match is None:
-        return None
-    backslash, offset, sign, in_index, aux_index, _, method, symbol = match.groups()
+        return _FINAL_HEADS.get(token)
+    backslash, offset, sign, action, in_index, aux_index, _, method, symbol = match.groups()
     if offset is not None:
         length = int(offset)
         return (_JUMP_BWD if backslash else _JUMP_FWD, BANK_NONE, 0, M_OTHER, None, length, length)
     if symbol == "tau":
         return None
+    on_t, on_f = _SIGN_OFFSETS[sign]
     number = int(in_index or aux_index or 0)
-    bank = _BANKS["in" if in_index else "aux"] if number else BANK_NONE
-    action = token[len(sign) :].lstrip()
-    return (OP_ACTION, bank, number and number - 1, _METHODS.get(method, M_OTHER), action, *_SIGN_OFFSETS[sign])
+    bank = (BANK_IN if in_index else BANK_AUX) if number else BANK_NONE
+    return (OP_ACTION, bank, number and number - 1, _METHODS.get(method, M_OTHER), action, on_t, on_f)
 
 
 def row_text(head: _RowHead) -> str:
@@ -177,37 +173,46 @@ class CompiledProgram:
 Program = InstructionSequence | CompiledProgram
 
 
+class _RowsBySegment(dict):
+    """Raw segment -> the row of its token, None when blank; a miss strips the segment and reads a new token."""
+
+    def __init__(self) -> None:
+        self.by_token: dict[str, _RowHead] = {}  # each token's row, in first-occurrence order
+
+    def __missing__(self, segment: str) -> _RowHead | None:
+        token = segment.strip()
+        head = self.by_token.get(token)
+        if head is None and token:
+            head = _token_head(token)
+            if head is None:
+                raise ParseError(_refusal(token))
+            self.by_token[token] = head
+        self[segment] = head
+        return head
+
+
 def compile_text(text: str) -> CompiledProgram:
     """Compile program text, as :func:`pglb.isa.parse` reads it, in one pass: the one compiler.
 
-    Per line, each distinct segment is stripped and looked up once, each new
-    token's row built from its match, and the rows gathered by ``map``. Then
-    aux indices become bits by rank (when they are not 1..n) and jumps are
-    resolved, by ``map`` and ``compress``. No instruction is built.
+    Each line's segments go by ``map`` through one segment -> row map, whose
+    misses strip the segment and build each new token's row from its match. Then
+    aux indices become bits by rank (when they are not 1..n), and the jump
+    positions are listed and resolved. No instruction is built.
     """
     body: list[_RowHead] = []
-    by_token: dict[str, _RowHead] = {}
-    by_segment: dict[str, _RowHead | None] = {}  # raw segment -> its token's row; None when blank
+    by_segment = _RowsBySegment()
     for lineno, line in enumerate(text.splitlines(), 1):
         segments = line.split("//", 1)[0].split(";")
-        for segment in dict.fromkeys(segments):  # the line's distinct segments, in first-occurrence order
-            if segment in by_segment:
-                continue
-            token = segment.strip()
-            head = by_token.get(token)
-            if head is None and token:
-                head = _token_head(token)
-                if head is None:
-                    # No earlier segment holds this token, or it would have failed there.
-                    at = segments.index(segment)
-                    column = sum(map(len, segments[:at])) + at + segment.index(token[0]) + 1
-                    raise ParseError(_refusal(token), lineno, column)
-                by_token[token] = head
-            by_segment[segment] = head
-        body.extend(filter(None, map(by_segment.__getitem__, segments)))
+        try:
+            body.extend(filter(None, map(by_segment.__getitem__, segments)))
+        except ParseError as refusal:
+            # The map reads segments in order, so the first one it lacks is the one refused.
+            at = next(at for at, segment in enumerate(segments) if segment not in by_segment)
+            column = sum(map(len, segments[:at])) + at + len(segments[at]) - len(segments[at].lstrip()) + 1
+            raise ParseError(str(refusal), lineno, column) from None
     if not body:
         raise ParseError("empty instruction sequence")
-    heads = list(by_token.values())
+    heads = list(by_segment.by_token.values())
     aux_named = sorted({head[2] + 1 for head in heads if head[1] == BANK_AUX})
     if aux_named and aux_named[-1] != len(aux_named):
         bit = {index - 1: r for r, index in enumerate(aux_named)}
@@ -217,7 +222,7 @@ def compile_text(text: str) -> CompiledProgram:
     size = len(body)
     exit_state = size + 1
     rows = (_DEADLOCK_HEAD, *body, _DEADLOCK_HEAD, _DEADLOCK_HEAD)
-    jumps = list(compress(range(1, exit_state), map(_JUMP_KINDS.__contains__, map(itemgetter(0), body))))
+    jumps = [p for p, head in enumerate(body, 1) if head[0] < 0]
     landing: list[int | None] = list(range(size + 3))
     landing[0] = landing[size + 2] = exit_state
     acyclic = _land_jumps(landing, rows, jumps, exit_state)

@@ -167,13 +167,18 @@ def _served(program: CompiledProgram, input_count: int, aux_count: int) -> tuple
     return input_count, bisect_right(program.aux_named, aux_count), 0
 
 
-def _step(program: CompiledProgram, row: int, kind: str, reply: Reply) -> TraceStep:
+def _step(
+    program: CompiledProgram, row: int, kind: str, reply: Reply, input_count: int = 0, aux_count: int = 0
+) -> TraceStep:
     """The trace record of ``row``, worded from its kind: the instruction at that position, or a deadlock row."""
     if row >= program.exit_state:
         note = "no instruction to execute" if row == program.exit_state else "infinite jump chain"
         return TraceStep("deadlock", note=note, reply=reply)
     head = program.rows[row]
-    note = {"no-service": "no service under this focus", "divergent": "configuration cycle"}.get(kind, "")
+    note = "configuration cycle" if kind == "divergent" else ""
+    if kind == "no-service":  # the focus: past the registers of its bank given to the run, or never served
+        past = {BANK_IN: f"past --in {input_count}", BANK_AUX: f"past --aux {aux_count}"}
+        note = f"{head[4].partition('.')[0]} {past.get(head[1], 'is never served')}"
     return TraceStep(kind, position=row, instruction=row_text(head), action=head[4], reply=reply, note=note)
 
 
@@ -197,13 +202,19 @@ def walk(
     deadlock. A configuration (position, aux bits, input bits) seen twice
     means the run never terminates, reply d; when the program writes no
     input register, the input bits never change, so one int of aux bits
-    and position keys it. Raises :class:`StateSpaceCapExceeded` when the
-    run visits more than ``DEFAULT_STATE_CAP`` configurations. Every end
-    leaves the loop with its reply and its kind.
+    and position keys it. An edge to a higher row moves forward, so every
+    cycle crosses an edge to a row not above its source: a plain run keys
+    only the entry and the rows such edges reach (a loop-free program's
+    runs keep one key), and finds a cycle at most one pass after it first
+    repeats. Raises :class:`StateSpaceCapExceeded` when the run takes more
+    than ``DEFAULT_STATE_CAP`` steps: the configurations visited, but on a
+    plain run that diverges, up to one pass more. Every end leaves the
+    loop with its reply and its kind.
 
-    With a ``steps`` list, one :class:`TraceStep` per visited row is
-    appended until ``TRACE_LIMIT`` records, then a truncation marker; the
-    walk goes on to the reply either way, and the last record carries it.
+    With a ``steps`` list, every row is keyed, so the trace ends at the
+    first repeat. One :class:`TraceStep` per visited row is appended until
+    ``TRACE_LIMIT`` records, then a truncation marker; the walk goes on to
+    the reply either way, and the last record carries it.
 
     :func:`reply_sets` applies the same method rules to all inputs at once;
     a change to them in one must be made to the other.
@@ -217,20 +228,21 @@ def walk(
     max_states, max_steps = DEFAULT_STATE_CAP, TRACE_LIMIT
     packed_key = BANK_IN not in program.written
     shift = len(rows).bit_length()
-    state = program.entry()
+    state = came_from = program.entry()
+    taken = 0
     while True:
-        if recording and len(log) >= max_steps:
-            recording = False
         op, b, i, m, _, on_t, on_f = rows[state]
         if op >= OP_TRUE:
             answer, end = _FINAL_REPLY[op - OP_TRUE], "terminate"
             break
-        key = aux << shift | state if packed_key else (state, aux, inputs)
-        if key in seen:
-            answer, end = Reply.D, "divergent"
-            break
-        seen.add(key)
-        if len(seen) > max_states:
+        if recording or state <= came_from:
+            key = aux << shift | state if packed_key else (state, aux, inputs)
+            if key in seen:
+                answer, end = Reply.D, "divergent"
+                break
+            seen.add(key)
+        taken += 1
+        if taken > max_states:
             raise StateSpaceCapExceeded(f"a run visited more than {max_states} configurations")
         if i >= bound[b]:
             answer, end = Reply.D, "no-service"
@@ -247,16 +259,17 @@ def walk(
         else:
             answer, end = Reply.D, "action"
             break
-        if recording:
+        if recording and len(log) < max_steps:
             log.append(_step(program, state, "action", Reply.T if bit else Reply.F))
         if b == BANK_AUX:
             aux = regs
         else:
             inputs = regs
+        came_from = state
         state = landing[state + (on_t if bit else on_f)]
-    if recording:
-        log.append(_step(program, state, end, answer))
-    elif steps is not None:
+    if recording and len(log) < max_steps:
+        log.append(_step(program, state, end, answer, input_count, aux_count))
+    elif recording:
         log.append(TraceStep("truncated", note=f"after {max_steps} steps", reply=answer))
     return answer
 
@@ -327,7 +340,7 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
 
 def _pack_inputs(inputs: list[bool] | tuple[bool, ...]) -> int:
     """Input register file as an int: its table index."""
-    if not all(isinstance(b, bool) for b in inputs):
+    if not {bool}.issuperset(map(type, inputs)):
         raise ValueError("inputs must be Booleans")
     return input_index(inputs)
 

@@ -245,9 +245,9 @@ def _refusal(token: str) -> str:
 
 
 # The well-formed tokens of every instruction class but terminations: a jump, or an action instruction, whose
-# text after the sign and spaces is the action's canonical text. _refusal words why it refuses a token, or tau.
+# text after the sign and spaces (a group) is the action's canonical text. _refusal words why it refuses one, or tau.
 _TOKEN = re.compile(
-    rf"(\\?)#({_NAT})|([+-]?)\s*(?:(?:in:({_POSITIVE})|aux:({_NAT})|({_IDENT}))\.({_METHOD})|({_IDENT}))"
+    rf"(\\?)#({_NAT})|([+-]?)\s*((?:in:({_POSITIVE})|aux:({_NAT})|({_IDENT}))\.({_METHOD})|({_IDENT}))"
 )
 _BY_SIGN = {"": Basic, "+": PosTest, "-": NegTest}
 

@@ -108,7 +108,7 @@ def encoding_to_text(bits: Iterable[bool]) -> str:
 def parse_encoding(text: str) -> tuple[bool, ...]:
     if not set(text) <= {"t", "f"}:
         raise ParseError("encoding must consist of t/f characters")
-    return tuple(c == "t" for c in text)
+    return tuple(map({"t": True, "f": False}.__getitem__, text))
 
 
 def canonical_clause(literals: Sequence[tuple[int, bool]]) -> ClauseShape:

@@ -20,8 +20,8 @@ from .sat3 import brute_sat, clause_count, decode, encoding_to_text
 
 
 def input_index(bits: Sequence[bool]) -> int:
-    """The table index of an input vector: input i is bit i-1."""
-    return sum(1 << i for i, b in enumerate(bits) if b)
+    """The table index of an input vector: input i is bit i-1, read as one binary numeral, last input first."""
+    return int(b"0" + bytes(map(bool, reversed(bits))).translate(bytes.maketrans(b"\0\1", b"01")), 2)
 
 
 def input_vector(index: int, arity: int) -> tuple[bool, ...]:

@@ -263,6 +263,43 @@ def test_trace_detects_divergence():
     assert steps[-1].kind == "divergent"
 
 
+def test_trace_names_why_a_row_is_not_served():
+    for text, inputs, aux, note in (
+        ("+aux:2.get; !t; !f", [], 1, "aux:2 past --aux 1"),
+        ("+in:2.get; !t; !f", [True], 0, "in:2 past --in 1"),
+        ("+aux:0.get; !t; !f", [], 2, "aux:0 is never served"),
+        ("+x.get; !t; !f", [], 0, "x is never served"),
+    ):
+        assert list(map(str, trace(parse(text), inputs, aux))) == [f"[1] no-service ({note})"]
+
+
+# A loop whose first repeated configuration is at row 3, not at row 2 where its backward jump lands.
+MERGE_LOOP = r"+aux:1.get; aux:1.set:f; aux:2.set:t; \#2"
+
+
+def test_a_trace_stops_at_the_first_repeat_and_a_plain_run_finds_the_same_cycle():
+    steps = trace(parse(MERGE_LOOP), [], 2)
+    assert list(map(str, steps)) == [
+        "[1] +aux:1.get: aux:1.get -> t",
+        "[2] aux:1.set:f: aux:1.set:f -> t",
+        "[3] aux:2.set:t: aux:2.set:t -> t",
+        "[2] aux:1.set:f: aux:1.set:f -> t",
+        "[3] divergent (configuration cycle)",
+    ]
+    assert steps[-1].reply is Reply.D
+    assert compute(parse(MERGE_LOOP), [], 2) is Reply.D
+
+
+def test_a_plain_run_that_diverges_may_take_one_pass_more_under_the_cap(monkeypatch):
+    # The trace takes 4 steps before its repeat; the plain run keys only rows 1 and 2, so it takes 5.
+    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", 4)
+    assert trace(parse(MERGE_LOOP), [], 2)[-1].kind == "divergent"
+    with pytest.raises(StateSpaceCapExceeded):
+        compute(parse(MERGE_LOOP), [], 2)
+    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", 5)
+    assert compute(parse(MERGE_LOOP), [], 2) is Reply.D
+
+
 def test_trace_agrees_with_compute():
     rng = random.Random(37)
     programs = [
@@ -315,6 +352,21 @@ def test_state_cap_still_stops_a_long_run(monkeypatch):
         compute(counter, [], 6)
     with pytest.raises(StateSpaceCapExceeded):
         walk(counter.compiled, 0, 0, 6, steps=[])
+
+
+def test_the_state_cap_counts_the_steps_of_a_run_that_terminates(monkeypatch):
+    counter = _counter(4)
+    steps = trace(counter, [], 4)
+    assert steps[-1].kind == "terminate"
+    taken = len(steps) - 1  # one record per step, then the termination's
+    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", taken)
+    assert compute(counter, [], 4) is Reply.F
+    assert trace(counter, [], 4) == steps
+    monkeypatch.setattr("pglb.interaction.DEFAULT_STATE_CAP", taken - 1)
+    with pytest.raises(StateSpaceCapExceeded):
+        compute(counter, [], 4)
+    with pytest.raises(StateSpaceCapExceeded):
+        trace(counter, [], 4)
 
 
 def test_truncated_trace_carries_the_reply_of_the_whole_run(monkeypatch):

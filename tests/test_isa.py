@@ -30,6 +30,8 @@ from pglb import (
     parse,
     render,
 )
+from pglb.extraction import compile_text
+from pglb.sat3 import gen_3sat_text
 from thelpers import program_foci, random_sequence
 
 EXAMPLE_LOOP = r"a; +b; #2; #3; c; \#4; +d; !t; !f"
@@ -140,6 +142,23 @@ def test_a_bad_token_is_reported_where_first_written_however_it_is_spaced():
         parse("a; #1\na; b;\t#x;#x; #x ")
     with pytest.raises(ParseError, match="^1:3: "):
         parse("a;?; ? ;\t?")
+
+
+def test_a_bad_token_after_repeated_segments_is_reported_at_its_line_and_column():
+    # Every segment before it on its line is one already read, spaced alike or not.
+    line = "+in:1.get; #2; +in:1.get;  #2; a ; a; +in:1.get; "
+    for read in (compile_text, parse):
+        with pytest.raises(ParseError) as caught:
+            read(f"!t; #2\n{line}#x; #2; #x")
+        assert (caught.value.line, caught.value.column) == (2, len(line) + 1)
+
+
+def test_a_bad_token_after_a_long_valid_line_is_reported_on_its_line():
+    text = gen_3sat_text(2) + "\n!t; +in:1.get; ?x; !f\n"
+    for read in (compile_text, parse):
+        with pytest.raises(ParseError) as caught:
+            read(text)
+        assert str(caught.value) == "2:16: bad action '?x'"
 
 
 def test_parse_rejects_bad_foci():

@@ -10,7 +10,10 @@ takes its three paths: one pass over a table program, one pass over a circuit
 program that writes aux registers, and a walk per input of the k=1 decider.
 The pinned SHA-256 digests below were taken of each command's exit code,
 stdout and stderr at the commit before ``walk`` and ``reply_sets`` shared one
-served bound (5bb5ed8).
+served bound (5bb5ed8), except the four no-service cases. Those were taken
+again when ``run --trace`` came to name why a row is not served (the focus,
+past the registers given or never served), where all four had read
+``[1] no-service (no service under this focus)``.
 """
 
 import hashlib
@@ -57,17 +60,17 @@ VERIFIES = {
     "gen-3sat-1": (gen_3sat_text(1), format_truth_table(SAT_1), ["--aux", "1"]),
 }
 
-# SHA-256 of each run's two results and each verify's result at commit 5bb5ed8, computed there by result_digests.
+# SHA-256 of each run's two results and each verify's result, computed by result_digests (see above).
 PINNED = {
     "terminate-t": "5bbe42272eabde871b5485692f12ef05be7f575ada7f4cdf62a2b55882a80cf7",
     "terminate-f": "02c0fe61c95d2d9efcbb9e3dfdc8fce12a9836924ecd54fcc8aea08375d8c7fe",
     "past-the-end": "f4b2ceb4330726f70a673551886e857d2be8b4c763553c2cf1166bf4ff824f7b",
     "jump-cycle": "720b8fe76e0c71b8b89a02f18256270f23db51102d124d334ef43261f7f10f37",
     "divergent": "9acc64fc20cb1b08fe47144d404902c3e97526c3dd67ae5568deff2280207b50",
-    "aux-past-count": "31cffd907ac2d20beb23c342abb085969eff4c262a7f95bc34277cbd2571c88b",
-    "in-past-count": "31cffd907ac2d20beb23c342abb085969eff4c262a7f95bc34277cbd2571c88b",
-    "aux-0": "31cffd907ac2d20beb23c342abb085969eff4c262a7f95bc34277cbd2571c88b",
-    "named-focus": "31cffd907ac2d20beb23c342abb085969eff4c262a7f95bc34277cbd2571c88b",
+    "aux-past-count": "12cc9481bddbc63ef400d4a651ebbf8ca9d5b139f61bace0574e281654a56cfc",
+    "in-past-count": "5af32ad832d932cf4f851a47492b6679f19dcc3cc1ce3fc958bd8fb386746d0f",
+    "aux-0": "58331580b5ee99be12d819f0cb08d7c1e871d01e81fb1e5eddaeefcad7aa6ff5",
+    "named-focus": "87da4878fb8467e10775bd703412a7dcc1cd177a39a2c9d28a660b87e6bf5e7e",
     "unknown-method": "17920b968101bf6e2dd44036ed1e7be73764b8ecdd2a99147116391c0d0e3da8",
     "bare-symbol": "8837f0637786c67e35c4c36ba9f23676c0848e2c0a9bc812afb2e06644360529",
     "writes-input": "b5490236f38ac84d7873d79dc730ef86102b9e17b4d14eb4f3ccf335f640ccd1",

@@ -32,12 +32,23 @@ from pglb import (
     parse_truth_table,
     render,
 )
+from pglb.synthesis import input_index, input_vector
 from thelpers import program_foci, random_circuit
 
 
 def all_tables(arity: int):
     for entries in itertools.product((True, False, None), repeat=2**arity):
         yield PartialBooleanFunction(arity, entries)
+
+
+def test_input_index_is_the_inverse_of_input_vector():
+    for arity in range(6):
+        assert [input_index(input_vector(j, arity)) for j in range(1 << arity)] == list(range(1 << arity))
+    rng = random.Random(7)
+    for arity in (64, 512, 5000):  # int() bounds decimal digits, not binary ones: 5,000 bits read as one numeral
+        j = rng.getrandbits(arity)
+        assert input_index(input_vector(j, arity)) == j
+    assert input_index([1, 0, 1, 1]) == input_index([True, False, True, True]) == 0b1101
 
 
 def test_nullary_tables_compile_to_one_instruction():

@@ -229,13 +229,14 @@ def reference_compile_program(sequence, start: int = 1) -> dict:
     this definition has.
     """
     from pglb.extraction import (
+        BANK_AUX,
+        BANK_IN,
         BANK_NONE,
         M_OTHER,
         OP_ACTION,
         OP_DEADLOCK,
         OP_FALSE,
         OP_TRUE,
-        _BANKS,
         _METHODS,
     )
     from pglb.isa import Termination
@@ -304,7 +305,7 @@ def reference_compile_program(sequence, start: int = 1) -> dict:
         if focus is None:
             rows.append((OP_ACTION, BANK_NONE, 0, M_OTHER, on_t, on_f, act))
         else:
-            bank = _BANKS.get(focus.kind, BANK_NONE)
+            bank = {"in": BANK_IN, "aux": BANK_AUX}.get(focus.kind, BANK_NONE)
             method = _METHODS.get(act.name, M_OTHER)
             rows.append((OP_ACTION, bank, focus.index or 0, method, on_t, on_f, act))
     rows.append((OP_DEADLOCK, BANK_NONE, 0, M_OTHER, exit_state, exit_state, None))
