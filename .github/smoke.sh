@@ -136,3 +136,9 @@ printf '+aux:1.get; aux:1.set:f; aux:2.set:t; \\#2\n' > merge-loop.pga
 test "$(pglb run merge-loop.pga --aux 2)" = d
 pglb run merge-loop.pga --aux 2 --trace > merge-loop.out
 printf '%s\n' '[3] divergent (configuration cycle)' d | cmp - <(tail -n 2 merge-loop.out)
+printf '+in:1.get; !t; in:1.set:t; \\#3\n' > write-input.pga
+test "$(pglb run write-input.pga --in f)" = t
+pglb run write-input.pga --in f --trace > write-input.out
+printf '%s\n' '[2] !t: terminate t' t | cmp - <(tail -n 2 write-input.out)
+printf 'aux:7.set:f; +in:2.get; !t; !f\n' > both-banks.pga
+test "$(pglb run both-banks.pga --in tt --aux 7)" = t

@@ -140,15 +140,15 @@ class CompiledProgram:
     are followed. The deadlock rows ``exit_state`` (behaviour left the
     program, as from position 0 or past the end) and ``exit_state + 1`` (an
     infinite jump chain) follow the last position. ``heads`` are the distinct
-    rows in first-occurrence order, ``states`` counts the non-jump positions
-    and ``written`` holds the banks some method sets. A register row's index
-    is the bit that holds its register: i-1 for in:i, as for input i in a
-    table index, and r-1 for the aux focus of rank r in ``aux_named``, the
-    aux indices above 0 the program names, ascending; so a run packs as many
-    aux registers as the program names. No run serves aux:0 or a named
-    focus: their rows are ``BANK_NONE``. ``acyclic`` holds when the program
-    has no backward jump; then every edge leads to a higher row. The form
-    holds no sequence, so a sequence caches it without a cycle.
+    rows in first-occurrence order and ``states`` counts the non-jump
+    positions. A register row's index is its register's place in its bank:
+    i-1 for in:i, as for input i in a table index, and r-1 for the aux
+    focus of rank r in ``aux_named``, the aux indices above 0 the program
+    names, ascending; so a run holds as many aux registers as the program
+    names. No run serves aux:0 or a named focus: their rows are
+    ``BANK_NONE``. ``acyclic`` holds when the program has no backward jump;
+    then every edge leads to a higher row. The form holds no sequence, so a
+    sequence caches it without a cycle.
     """
 
     rows: tuple[_RowHead, ...]
@@ -157,7 +157,6 @@ class CompiledProgram:
     exit_state: int
     states: int
     aux_named: tuple[int, ...]
-    written: frozenset[int]
     acyclic: bool
 
     @property
@@ -233,7 +232,6 @@ def compile_text(text: str) -> CompiledProgram:
         exit_state=exit_state,
         states=size - len(jumps),
         aux_named=tuple(aux_named),
-        written=frozenset(head[1] for head in heads if head[3] in (M_SET_T, M_SET_F)),
         acyclic=acyclic,
     )
 

@@ -11,7 +11,7 @@ deadlocks, meets an unserved action, or never terminates.
 the serving rules once, as one step (:func:`_serve`): ``use_apply`` builds
 its product from that step breadth-first, and ``reply`` follows it along
 the single path. Programs run on :func:`walk`, one loop over a compiled
-program whose register files are two packed ints; ``compute``, ``trace``
+program whose registers are one packed int; ``compute``, ``trace``
 and the oracle's equivalence sweep all call it, so a run costs the steps it
 takes, not the size of the product of thread and registers.
 :func:`reply_sets` gives the replies of all inputs of a loop-free program
@@ -191,18 +191,18 @@ def walk(
 ) -> Reply:
     """Run a compiled program on packed Boolean registers: the one execution loop.
 
-    ``inputs`` is the table index of the input: bit i-1 holds register in:i
-    (i = 1..input_count). Registers aux:1..aux_count all start at t. Only
-    the aux registers the program names are packed into an int, bit r-1 for
-    the one of rank r (see :class:`~pglb.extraction.CompiledProgram`):
+    One int holds every register of the run. ``inputs`` is the table index
+    of the input: bit i-1 holds register in:i (i = 1..input_count), so the
+    int starts as it. Registers aux:1..aux_count all start at t. Only the
+    aux registers the program names are held, the one of rank r (see
+    :class:`~pglb.extraction.CompiledProgram`) at bit input_count + r - 1:
     nothing reads the others. A row is served when its index is below its
-    bank's bound (:func:`_served`).
+    bank's bound (:func:`_served`); its bank's offset then makes it a bit.
     Any reply d ends the run: an unknown method, a bare symbol or a focus
     no register serves (aux:0, a named focus, an index out of range) or a
-    deadlock. A configuration (position, aux bits, input bits) seen twice
-    means the run never terminates, reply d; when the program writes no
-    input register, the input bits never change, so one int of aux bits
-    and position keys it. An edge to a higher row moves forward, so every
+    deadlock. A configuration (position, registers) seen twice means the
+    run never terminates, reply d; one int, the registers shifted above
+    the position, keys it. An edge to a higher row moves forward, so every
     cycle crosses an edge to a row not above its source: a plain run keys
     only the entry and the rows such edges reach (a loop-free program's
     runs keep one key), and finds a cycle at most one pass after it first
@@ -220,13 +220,13 @@ def walk(
     a change to them in one must be made to the other.
     """
     bound = _served(program, input_count, aux_count)
+    offset = (0, input_count, 0)  # by bank, as bound is: the bit of regs where its registers start
     rows, landing = program.rows, program.landing
     recording = steps is not None
     log: list[TraceStep] = steps if steps is not None else []
-    aux = (1 << bound[BANK_AUX]) - 1
-    seen: set[object] = set()
+    regs = inputs | ((1 << bound[BANK_AUX]) - 1) << input_count
+    seen: set[int] = set()
     max_states, max_steps = DEFAULT_STATE_CAP, TRACE_LIMIT
-    packed_key = BANK_IN not in program.written
     shift = len(rows).bit_length()
     state = came_from = program.entry()
     taken = 0
@@ -236,7 +236,7 @@ def walk(
             answer, end = _FINAL_REPLY[op - OP_TRUE], "terminate"
             break
         if recording or state <= came_from:
-            key = aux << shift | state if packed_key else (state, aux, inputs)
+            key = regs << shift | state
             if key in seen:
                 answer, end = Reply.D, "divergent"
                 break
@@ -247,7 +247,7 @@ def walk(
         if i >= bound[b]:
             answer, end = Reply.D, "no-service"
             break
-        regs = aux if b == BANK_AUX else inputs
+        i += offset[b]
         if m == M_GET:
             bit = regs >> i & 1
         elif m == M_SET_T:
@@ -261,10 +261,6 @@ def walk(
             break
         if recording and len(log) < max_steps:
             log.append(_step(program, state, "action", Reply.T if bit else Reply.F))
-        if b == BANK_AUX:
-            aux = regs
-        else:
-            inputs = regs
         came_from = state
         state = landing[state + (on_t if bit else on_f)]
     if recording and len(log) < max_steps:

@@ -208,7 +208,7 @@ def spelled_programs(draw):
 def test_the_pass_over_text_equals_the_compile_of_its_sequence(case):
     sequence, text = case
     passed, compiled = compile_text(text), sequence.compiled
-    for field in ("rows", "heads", "landing", "exit_state", "states", "aux_named", "written", "acyclic"):
+    for field in ("rows", "heads", "landing", "exit_state", "states", "aux_named", "acyclic"):
         assert getattr(passed, field) == getattr(compiled, field)
     # parse builds one instruction per distinct token: the sequence's.
     parsed = parse(text)

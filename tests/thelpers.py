@@ -331,10 +331,10 @@ def compiled_differences(sequence, compiled) -> list[str]:
     """Where ``compiled`` differs from ``reference_compile_program(sequence)``: empty when nowhere.
 
     Checks the entry row of every start position from -1 to size+3, and each
-    position's row and successors, the aux indices named, the state count,
-    the banks written and ``acyclic``.
+    position's row and successors, the aux indices named, the state count
+    and ``acyclic``.
     """
-    from pglb.extraction import BANK_AUX, BANK_IN, BANK_NONE, M_SET_F, M_SET_T
+    from pglb.extraction import BANK_AUX, BANK_IN, BANK_NONE
 
     size = len(sequence)
     rows, landing = compiled.rows, compiled.landing
@@ -374,11 +374,6 @@ def compiled_differences(sequence, compiled) -> list[str]:
             found.append(f"else-successor of {p}")
     if compiled.states != reference["exit_state"]:
         found.append("states")
-    written = {
-        bit(b, i)[0] for b, i, m in zip(reference["bank"], reference["index"], reference["method"]) if m in (M_SET_T, M_SET_F)
-    }
-    if compiled.written != written:
-        found.append("written")
     if compiled.acyclic is not loop_free(sequence):
         found.append("acyclic")
     return found
