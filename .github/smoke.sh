@@ -142,3 +142,8 @@ pglb run write-input.pga --in f --trace > write-input.out
 printf '%s\n' '[2] !t: terminate t' t | cmp - <(tail -n 2 write-input.out)
 printf 'aux:7.set:f; +in:2.get; !t; !f\n' > both-banks.pga
 test "$(pglb run both-banks.pga --in tt --aux 7)" = t
+printf '+in:1.get; #2; !t; \\#2\n' > back-chain.pga
+pglb fmt back-chain.pga | cmp - back-chain.pga
+pglb run back-chain.pga --in t --trace > back-chain.out
+printf '%s\n' 'deadlock (infinite jump chain)' d | cmp - <(tail -n 2 back-chain.out)
+test "$(pglb run back-chain.pga --in f)" = t

@@ -49,18 +49,21 @@ _FINAL_HEADS: dict[str, _RowHead] = {"!t": (OP_TRUE, *_DEADLOCK_HEAD[1:]), "!f":
 def _token_head(token: str) -> _RowHead | None:
     """The row of every position spelling ``token``, built from its one match; None when it is malformed.
 
-    The offsets lead to where the replies continue; a termination's are 0. No
-    run serves a bare symbol, a named focus or aux:0 (``BANK_NONE``). A register
-    row's index is i-1 for in:i, its bit as input i is of a table index, and
-    i-1 for aux:i until ranked. The action is its canonical text, the match's group for the
-    token after its sign and spaces. The pattern refuses ``!t`` and ``!f``; their rows are looked up.
+    The offsets lead to where the replies continue; a termination's are 0,
+    and a jump's are its length, negative for a backward jump, so that a jump
+    at p leads to p + offset whatever its direction. No run serves a bare
+    symbol, a named focus or aux:0 (``BANK_NONE``). A register row's index
+    is i-1 for in:i, its bit as input i is of a table index, and i-1 for aux:i
+    until ranked. The action is its canonical text, the match's group for the
+    token after its sign and spaces. The pattern refuses ``!t`` and ``!f``;
+    their rows are looked up.
     """
     match = _TOKEN.fullmatch(token)
     if match is None:
         return _FINAL_HEADS.get(token)
     backslash, offset, sign, action, in_index, aux_index, _, method, symbol = match.groups()
     if offset is not None:
-        length = int(offset)
+        length = -int(offset) if backslash else int(offset)
         return (_JUMP_BWD if backslash else _JUMP_FWD, BANK_NONE, 0, M_OTHER, None, length, length)
     if symbol == "tau":
         return None
@@ -76,58 +79,40 @@ def row_text(head: _RowHead) -> str:
     if kind == OP_ACTION:
         return _SIGNS[head[5:]] + head[4]  # type: ignore[operator]
     if kind < 0:
-        return ("#" if kind == _JUMP_FWD else "\\#") + str(head[5])
+        return ("#" if kind == _JUMP_FWD else "\\#") + str(abs(head[5]))
     return "!t" if kind == OP_TRUE else "!f"
 
 
-def _land_jumps(landing: list[int | None], rows: tuple[_RowHead, ...], jumps: list[int], exit_state: int) -> bool:
+def _land_jumps(landing: list[int], rows: tuple[_RowHead, ...], jumps: list[int], exit_state: int) -> None:
     """Fill in the row each jump position lands on: the one jump resolver.
 
-    ``landing`` covers positions 0..size+2 and holds each jump position of
-    ``jumps`` itself; ``rows`` holds the row head of each position. A chain
-    of jumps that leaves the program lands on ``exit_state``, like position
-    0 and the positions past the end; one that returns to one of its jumps
-    (an infinite jump chain) lands on ``exit_state + 1``. One pass from the
-    last jump to the first resolves each forward jump whose target is
-    resolved by then, and notes every other jump: the backward jumps and
-    the forward chains into one. Only those are then followed, with cycle
-    detection. Returns True when no jump is backward, that is when the pass
-    leaves none unresolved.
+    ``landing`` covers positions 0..size+2, with 0 and size+2 on
+    ``exit_state``, and holds each jump position of ``jumps`` itself;
+    ``rows`` holds the row head of each position. A jump at p targets
+    q = p + offset, whatever its direction. One outside 0..size+2 leaves the
+    program and lands on ``exit_state``; a jump to itself, or a chain of jumps
+    that comes back to one of its jumps (an infinite jump chain), lands on
+    ``exit_state + 1``. One pass from the last jump to the first gives each
+    jump the landing of its target, and keeps the jumps whose landing is
+    still a jump row: a target not passed yet, or one that still points at a
+    jump. One loop then follows those pointers.
     """
-    cycle_state = exit_state + 1
-    end = len(landing) - 1
-    unresolved: list[int] = []
+    end, cycle_state = len(landing) - 1, exit_state + 1
+    pointing: list[int] = []
     for p in reversed(jumps):
-        kind, _, _, _, _, offset, _ = rows[p]
-        if kind == _JUMP_BWD:
-            target = None
-        elif offset == 0:
-            target = cycle_state
-        else:
-            q = p + offset
-            target = landing[q] if q <= end else exit_state
-        landing[p] = target
-        if target is None:
-            unresolved.append(p)
-    # Every unresolved jump targets a position in 0..size+2.
-    for p in unresolved:
-        if landing[p] is not None:
-            continue
-        chain: dict[int, None] = {}  # insertion-ordered set of the jumps followed
-        q = p
-        while (result := landing[q]) is None:
-            if q in chain:
-                result = cycle_state
-                break
-            chain[q] = None
-            kind, offset = rows[q][0], rows[q][5]
-            if kind == _JUMP_FWD:
-                q += offset
-            else:  # a backward jump that would leave the program lands on position 0
-                q = q - offset if q > offset else 0
+        q = p + rows[p][5]
+        # landing[0] is exit_state, so a target at 0 lands as one below it does.
+        landing[p] = target = cycle_state if q == p else landing[q] if 0 <= q <= end else exit_state
+        if rows[target][0] < 0:  # a jump not yet passed, or one still pointing at a jump
+            pointing.append(p)
+    for q in pointing:
+        chain = []
+        while rows[target := landing[q]][0] < 0:
+            landing[q] = cycle_state  # a chain that comes back here never leaves
+            chain.append(q)
+            q = target
         for c in chain:
-            landing[c] = result
-    return not unresolved
+            landing[c] = target
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +131,9 @@ class CompiledProgram:
     focus of rank r in ``aux_named``, the aux indices above 0 the program
     names, ascending; so a run holds as many aux registers as the program
     names. No run serves aux:0 or a named focus: their rows are
-    ``BANK_NONE``. ``acyclic`` holds when the program has no backward jump;
-    then every edge leads to a higher row. The form holds no sequence, so a
-    sequence caches it without a cycle.
+    ``BANK_NONE``. ``acyclic`` holds when no distinct row is a backward
+    jump; then every edge leads to a higher row. The form holds no
+    sequence, so a sequence caches it without a cycle.
     """
 
     rows: tuple[_RowHead, ...]
@@ -195,8 +180,9 @@ def compile_text(text: str) -> CompiledProgram:
 
     Each line's segments go by ``map`` through one segment -> row map, whose
     misses strip the segment and build each new token's row from its match. Then
-    aux indices become bits by rank (when they are not 1..n), and the jump
-    positions are listed and resolved. No instruction is built.
+    aux indices become bits by rank (when they are not 1..n), the jump
+    positions are listed and resolved, and ``acyclic`` is read off the
+    distinct rows. No instruction is built.
     """
     body: list[_RowHead] = []
     by_segment = _RowsBySegment()
@@ -222,17 +208,17 @@ def compile_text(text: str) -> CompiledProgram:
     exit_state = size + 1
     rows = (_DEADLOCK_HEAD, *body, _DEADLOCK_HEAD, _DEADLOCK_HEAD)
     jumps = [p for p, head in enumerate(body, 1) if head[0] < 0]
-    landing: list[int | None] = list(range(size + 3))
+    landing = list(range(size + 3))
     landing[0] = landing[size + 2] = exit_state
-    acyclic = _land_jumps(landing, rows, jumps, exit_state)
+    _land_jumps(landing, rows, jumps, exit_state)
     return CompiledProgram(
         rows=rows,
-        landing=tuple(landing),  # type: ignore[arg-type]
+        landing=tuple(landing),
         heads=tuple(heads),
         exit_state=exit_state,
         states=size - len(jumps),
         aux_named=tuple(aux_named),
-        acyclic=acyclic,
+        acyclic=_JUMP_BWD not in {head[0] for head in heads},
     )
 
 

@@ -88,6 +88,9 @@ def test_resolve_jumps_cases():
     assert parse(r"#2; !t; \#1").compiled.entry(1) == 2
     cycle = parse(r"#1; \#1").compiled
     assert cycle.entry(1) == cycle.exit_state + 1  # an infinite jump chain
+    for text in ("#0", r"\#0"):  # a jump to itself is one too
+        looped = parse(text).compiled
+        assert looped.entry(1) == looped.exit_state + 1
     assert parse("a; !t").compiled.entry(1) == 1  # non-jump resolves to itself
     leaving = parse("a; #5").compiled
     assert leaving.entry(2) == leaving.exit_state  # leaves the program
