@@ -54,6 +54,14 @@ test ! -s loop2.out
 printf 'a; +b; #2; #3; c; \\#4; +d; !t; !f\n' > demo.pga
 printf '%s\n' 'E0 = a ∘ E1' 'E1 = c ∘ E1 ⊴ b ⊵ (S+ ⊴ d ⊵ S-)' > demo.want
 pglb extract demo.pga | cmp - demo.want
+test "$(pglb project demo.pga -n 3)" = 'a ∘ (c ∘ D ⊴ b ⊵ d ∘ D)'
+printf '+in:1.get; // note\f!f\n!t; !f\n' > form-feed.pga
+test "$(pglb fmt form-feed.pga)" = '+in:1.get; !t; !f'
+printf 'p cnf 1 1\n1 1 1\n' > unterminated.cnf
+status=0; pglb encode cnf unterminated.cnf > unterminated.out 2> unterminated.err || status=$?
+test "$status" -eq 2
+test ! -s unterminated.out
+grep -q 'unterminated clause' unterminated.err
 printf '+in:1.get; +aux:1.get; !t; !f\n' > aux.pga
 test "$(pglb run aux.pga --in t --aux 100000000000000000000)" = t
 printf '+aux:10000000000.set:f; +aux:10000000000.get; !t; !f\n' > aux-index.pga

@@ -186,7 +186,7 @@ def compile_text(text: str) -> CompiledProgram:
     """
     body: list[_RowHead] = []
     by_segment = _RowsBySegment()
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         segments = line.split("//", 1)[0].split(";")
         try:
             body.extend(filter(None, map(by_segment.__getitem__, segments)))

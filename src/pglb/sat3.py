@@ -128,7 +128,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     """
     tokens: list[tuple[str, int]] = []  # (token, line)
     header: tuple[int, int] | None = None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         fields = line.split()
         if not fields or fields[0].startswith("c"):
             continue

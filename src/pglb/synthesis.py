@@ -292,7 +292,7 @@ def _header_and_lines(text: str, keyword: str, what: str, usage: str) -> tuple[i
     Blank lines are skipped; every line keeps its physical 1-based number,
     which errors name.
     """
-    lines = [(lineno, fields) for lineno, line in enumerate(text.splitlines(), 1) if (fields := line.split())]
+    lines = [(lineno, fields) for lineno, line in enumerate(text.split("\n"), 1) if (fields := line.split())]
     lineno, fields = lines[0] if lines else (1, [])
     if len(fields) != 2 or fields[0] != keyword or not (fields[1].isascii() and fields[1].isdigit()):
         raise ParseError(usage, lineno)

@@ -6,6 +6,8 @@ continues along one of two branches depending on the reply. Finite threads
 are trees; regular threads are finite graphs whose infinite unrolling is the
 behaviour. ``project`` truncates behaviour after a given number of actions,
 and two regular threads are interchangeable exactly when they are bisimilar.
+Projecting twice keeps the shallower cut, so ``aip_equal`` compares the two
+projections at one depth only.
 """
 
 from __future__ import annotations
@@ -87,24 +89,6 @@ S_MINUS = SMinus()
 DEADLOCK = Deadlock()
 
 
-def _hash_consing() -> Callable[[Action, FiniteThread, FiniteThread], Post]:
-    """A Post constructor that returns one shared object per distinct term it builds.
-
-    The table is keyed by child identity, so only feed it children it built
-    itself or leaves; it lives exactly as long as the returned function.
-    """
-    table: dict[tuple[Action, int, int], Post] = {}
-
-    def make_post(action: Action, then_branch: FiniteThread, else_branch: FiniteThread) -> Post:
-        key = (action, id(then_branch), id(else_branch))
-        node = table.get(key)
-        if node is None:
-            node = table[key] = Post(action, then_branch, else_branch)
-        return node
-
-    return make_post
-
-
 @dataclass(frozen=True)
 class PostNode:
     """Graph form of a postconditional: branch targets are state ids."""
@@ -165,50 +149,48 @@ def thread_from_term(term: FiniteThread) -> RegularThread:
     return RegularThread(tuple(labels), 0)
 
 
-def _projector(
-    thread: RegularThread, make_post: Callable[[Action, FiniteThread, FiniteThread], Post]
-) -> Callable[[int], FiniteThread]:
-    """``project(thread, n)`` for any n, sharing one memo across calls."""
-    states = thread.states
-    memo: dict[tuple[int, int], FiniteThread] = {}
-
-    def at(depth: int) -> FiniteThread:
-        stack = [(thread.root, depth)]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            state, n = key
-            label = states[state]
-            if n == 0 or isinstance(label, Deadlock):
-                memo[key] = DEADLOCK
-            elif isinstance(label, SPlus):
-                memo[key] = S_PLUS
-            elif isinstance(label, SMinus):
-                memo[key] = S_MINUS
-            else:
-                then_key, else_key = (label.then_state, n - 1), (label.else_state, n - 1)
-                if then_key not in memo or else_key not in memo:
-                    stack.append(then_key)
-                    stack.append(else_key)
-                    continue
-                memo[key] = make_post(label.action, memo[then_key], memo[else_key])
-            stack.pop()
-        return memo[(thread.root, depth)]
-
-    return at
-
-
 def project(thread: RegularThread, depth: int) -> FiniteThread:
     """Approximation up to ``depth``: cut the behaviour after that many actions.
 
     Depth 0 is always D; a postconditional at depth n+1 keeps its action and
-    projects both branches at depth n. Equal subterms are built once.
+    projects both branches at depth n. Equal subterms are built once: each
+    (state, depth) is projected once, and a table keyed by the action and
+    its children's identities returns one shared node per distinct term.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return _projector(thread, _hash_consing())(depth)
+    states = thread.states
+    memo: dict[tuple[int, int], FiniteThread] = {}
+    shared: dict[tuple[Action, int, int], Post] = {}
+    stack = [(thread.root, depth)]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        state, n = key
+        label = states[state]
+        if n == 0 or isinstance(label, Deadlock):
+            memo[key] = DEADLOCK
+        elif isinstance(label, SPlus):
+            memo[key] = S_PLUS
+        elif isinstance(label, SMinus):
+            memo[key] = S_MINUS
+        else:
+            then_key, else_key = (label.then_state, n - 1), (label.else_state, n - 1)
+            if then_key not in memo or else_key not in memo:
+                stack.append(then_key)
+                stack.append(else_key)
+                continue
+            then_branch, else_branch = memo[then_key], memo[else_key]
+            # Children are nodes of this table or leaves, so their identities name their terms.
+            node_key = (label.action, id(then_branch), id(else_branch))
+            node = shared.get(node_key)
+            if node is None:
+                node = shared[node_key] = Post(label.action, then_branch, else_branch)
+            memo[key] = node
+        stack.pop()
+    return memo[(thread.root, depth)]
 
 
 def _label_class(label: StateLabel):
@@ -261,11 +243,13 @@ def bisimilar(left: RegularThread, right: RegularThread) -> bool:
 
 
 def aip_equal(left: RegularThread, right: RegularThread, depth: int) -> bool:
-    """True when all projections up to ``depth`` coincide as terms."""
-    # One hash-cons table for both sides: equal projections are the same object.
-    make_post = _hash_consing()
-    at_left, at_right = _projector(left, make_post), _projector(right, make_post)
-    return all(at_left(n) is at_right(n) for n in range(depth + 1))
+    """True when all projections up to ``depth`` coincide as terms.
+
+    Projecting a projection keeps the shallower cut, so the projections at
+    ``depth`` coincide exactly when all shallower ones do: one comparison
+    decides. With no depth to compare (``depth`` < 0) the answer is True.
+    """
+    return depth < 0 or project(left, depth) == project(right, depth)
 
 
 def _render(root: object, expand: Callable[[object, bool], "str | tuple[Action, object, object]"]) -> str:

@@ -333,6 +333,12 @@ def test_data_file_errors_name_the_physical_line(tmp_path, capsys):
         (("compile", "circuit"), "inputs 1\ng1 = NOT x1\ng2 = AND g1 g3\n", "3: gate 2 references gate 3 (forward"),
         (("compile", "circuit"), "inputs 1\n\ng1 = NOT x0\n", "3: gate 1 reads input 0"),
         (("compile", "circuit"), "inputs 1\ng1 = NOT x1\ng2 = OR g1 x2\n", "3: gate 2 reads input 2"),
+        # Only \n ends a line; a form feed or vertical tab is whitespace within one.
+        (("verify", program_path, "--tt"), "k 1\n\vf t\nx f\n", "3: pattern must be 1 characters over t/f"),
+        (("compile", "circuit"), "inputs 1\ng1 = NOT\fx1\ng3 = NOT g1\n", "3: expected 'g2 = OP <operands>'"),
+        (("encode", "cnf"), "p cnf 1 1\n\np cnf 1 1\n1 1 1 0\n", "3: duplicate header"),
+        (("encode", "cnf"), "c one\np cnf 1\n1 1 1 0\n", "2: header must be 'p cnf <vars> <clauses>'"),
+        (("encode", "cnf"), "p cnf 1 1\n1 1 1\n", "unterminated clause (missing 0)"),
     )
     for command, text, message in cases:
         code, out, err = run_cli(capsys, *command, write(tmp_path, "input.txt", text))

@@ -77,6 +77,9 @@ def test_parse_named_and_aux_foci():
 def test_parse_newlines_and_comments():
     text = "a // first action\n+b; #2 // skip\n!t\n!f"
     assert render(parse(text)) == "a; +b; #2; !t; !f"
+    # Only \n ends a line: the other characters str.splitlines breaks at stay inside the comment.
+    for char in "\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+        assert render(parse(f"+in:1.get; // note{char}!f\n!t; !f")) == "+in:1.get; !t; !f"
 
 
 def test_render_examples():
@@ -90,6 +93,8 @@ def test_parse_errors_carry_positions():
         parse("a; ?b")
     with pytest.raises(ParseError, match="2:1"):
         parse("a\n#x")
+    with pytest.raises(ParseError, match="^2:1: "):
+        parse("a;\fb;\nbad token")
     with pytest.raises(ParseError, match="^2:4: "):
         parse("a; b\na; ?; ?\n?; a")  # a repeated bad token fails where it first appears
     with pytest.raises(ParseError, match="^1:3001: "):

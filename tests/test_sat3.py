@@ -1,17 +1,25 @@
 """Clause numbering, formula encoding, and the backward-jump generator."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pglb import (
     BwdJump,
+    Circuit,
     ClauseShape,
     CnfFormula,
     Focus,
+    Gate,
     InfeasibleArityError,
+    InputRef,
+    NOT,
     ParseError,
+    PartialBooleanFunction,
+    RegularThread,
+    S_PLUS,
     TERM_F,
     TERM_T,
     brute_sat,
@@ -28,6 +36,7 @@ from pglb import (
     parse_encoding,
     phi,
     phi_inv,
+    project,
     render,
     trace,
 )
@@ -159,7 +168,37 @@ def test_dimacs_rejects_short_clauses_and_bad_counts():
     # Clause errors carry the line of the 0 that ends the clause.
     with pytest.raises(ParseError, match="^4: variable index exceeds declared count 1$"):
         parse_dimacs("p cnf 1 2\n1 1 1 0\n1 1\n2 0\n")
+    with pytest.raises(ParseError, match="^3: bad literal "):  # only \n ends a line
+        parse_dimacs("p cnf 1 2\n1 1\x1c1 0\n1 1 x 0\n")
     assert parse_dimacs("p cnf 01 1\n-1 -01 1 0\n") == CnfFormula(1, frozenset({ClauseShape(1, 1, 1, 4)}))
+
+
+# Library values refused at construction or call (sat3, synthesis, threads, isa), one row per check.
+# Each message is matched whole, and each call, with its check deleted, ends without that message.
+REFUSALS = [
+    (lambda: ClauseShape(0, 1, 1, 1), "variable indices start at 1"),
+    (lambda: ClauseShape(1, 1, 1, 9), "polarity pattern must be in 1..8"),
+    (lambda: CnfFormula(-1, frozenset()), "variable count must be >= 0"),
+    (lambda: CnfFormula(1, frozenset({ClauseShape(2, 1, 1, 1)})),
+     "clause ClauseShape(l=2, m=1, n=1, pattern=1) exceeds variable count 1"),
+    (lambda: decode((True,), 1), "encoding must have length 8, got 1"),
+    (lambda: canonical_clause([(1, True), (2, False)]), "a clause consists of exactly 3 literals"),
+    (lambda: next_snippet(0), "k must be >= 1"),
+    (lambda: PartialBooleanFunction(-1, ()), "arity must be >= 0"),
+    (lambda: PartialBooleanFunction(1, (True,)), "table needs 2 entries, got 1"),
+    (lambda: PartialBooleanFunction(2, (True,) * 4).value_at((True,)), "expected 2 inputs, got 1"),
+    (lambda: Gate("XOR", InputRef(1), InputRef(1)), "unknown gate op 'XOR'"),
+    (lambda: Circuit(-1, (Gate(NOT, InputRef(1)),)), "negative input count"),
+    (lambda: RegularThread((), 0), "a regular thread needs at least one state"),
+    (lambda: project(RegularThread((S_PLUS,), 0), -1), "depth must be >= 0"),
+    (lambda: Focus("reg", index=1), "unknown focus kind 'reg'"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_library_refusals_name_their_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_check_snippet_shapes():

@@ -126,6 +126,7 @@ def test_aip_separates_loop_from_single_step():
     once = RegularThread((PostNode(A, 1, 1), DEADLOCK), 0)
     assert aip_equal(loop, once, 1)
     assert not aip_equal(loop, once, 2)
+    assert aip_equal(loop, once, -1) is True  # no depth to compare
 
 
 def test_aip_witness_bound_agrees_with_bisimilarity():
@@ -282,3 +283,7 @@ def test_shared_terms_compare_in_linear_time():
     left, right = project(LOOP_GRAPH, 300), project(LOOP_GRAPH, 300)
     assert left is not right and left == right and hash(left) == hash(right)
     assert left != project(LOOP_GRAPH, 299)
+    # Two states with one behaviour project to one shared node.
+    twins = project(RegularThread((PostNode(A, 1, 2), PostNode(B, 3, 3), PostNode(B, 3, 3), S_PLUS), 0), 3)
+    assert twins.then_branch is twins.else_branch
+    assert render_term(twins) == "a ∘ b ∘ S+"
