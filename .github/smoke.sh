@@ -15,6 +15,8 @@ pglb gen 3sat -k 2 > sat2.pga
 pglb fmt sat2.pga | cmp - sat2.pga
 printf '+in:1.get ;  !t;\t!f\n' > spaced.pga
 test "$(pglb run spaced.pga --in t)" = t
+printf '\xef\xbb\xbf+in:1.get; !t; !f\n' > bom.pga
+test "$(pglb run bom.pga --in t)" = t
 printf 'k 2\nff f\nft t\ntf t\ntt f\n' > xor.tt
 pglb compile tt xor.tt > xor.pga
 pglb fmt xor.pga | cmp - xor.pga
@@ -22,6 +24,11 @@ pglb verify xor.pga --tt xor.tt
 printf 'k 2\nff t\nft t\ntf t\ntt f\n' > flipped.tt
 status=0; pglb verify xor.pga --tt flipped.tt || status=$?
 test "$status" -eq 1
+printf 'k 2\nff f\nft u\ntf f\ntt t\n' > three-flips.tt
+status=0; pglb verify xor.pga --tt three-flips.tt > three-flips.out || status=$?
+test "$status" -eq 1
+printf '%s\n' '3 mismatching input(s) out of 4' 'input tf: got t, expected f' 'input ft: got t, expected d' \
+    'input tt: got f, expected t' | cmp - three-flips.out
 status=0; pglb lengths --max-k 13 > lengths.out || status=$?
 test "$status" -eq 2
 test ! -s lengths.out
@@ -62,6 +69,11 @@ status=0; pglb encode cnf unterminated.cnf > unterminated.out 2> unterminated.er
 test "$status" -eq 2
 test ! -s unterminated.out
 grep -q 'unterminated clause' unterminated.err
+printf 'p cnf 1 1\n1 x 1 0\np cnf 1 1\n' > late-header.cnf
+status=0; pglb encode cnf late-header.cnf > late-header.out 2> late-header.err || status=$?
+test "$status" -eq 2
+test ! -s late-header.out
+grep -q "2: bad literal 'x'" late-header.err
 printf '+in:1.get; +aux:1.get; !t; !f\n' > aux.pga
 test "$(pglb run aux.pga --in t --aux 100000000000000000000)" = t
 printf '+aux:10000000000.set:f; +aux:10000000000.get; !t; !f\n' > aux-index.pga

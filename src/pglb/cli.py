@@ -45,8 +45,9 @@ EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
+    # A leading byte-order mark is dropped after decoding, so a decode error names its byte's offset in the file.
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

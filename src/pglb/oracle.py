@@ -6,9 +6,10 @@ equivalence sweep is compiled once. A program without backward jumps,
 small enough for the pass's bit budget, gets the replies of all inputs
 from one pass over its states (:func:`pglb.interaction.reply_sets`); any
 other is walked once per input (:func:`pglb.interaction.walk`). Either way
-the replies become three masks over table indices, the inputs replying t,
-f and d, and are compared with the table's three masks. A program counts
-as correct only when its runs agree with the reference on every input.
+the replies become masks over table indices, of the inputs replying t and
+of those replying f; an input is a mismatch where its bit in either differs
+from the table's. A program counts as correct only when its runs agree with
+the reference on every input.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class Mismatch:
 @dataclass(frozen=True)
 class EquivalenceReport:
     arity: int
-    aux_count: int
     mismatches: tuple[Mismatch, ...]
 
     @property
@@ -72,16 +72,20 @@ class EquivalenceReport:
 
 
 # The reply a table entry asks for (an undefined entry must come out as d), and the digits that
-# pick out, in a string of one reply per input, the inputs of each reply.
+# pick out, in a string of one reply per input, the inputs replying t and those replying f.
 _ENTRY_REPLY = {True: "t", False: "f", None: "d"}
-_REPLY_DIGITS = tuple(str.maketrans("tfd", digits) for digits in ("100", "010", "001"))
-_REPLIES = (Reply.T, Reply.F, Reply.D)
+_REPLY_DIGITS = tuple(str.maketrans("tfd", digits) for digits in ("100", "010"))
 
 
 def _reply_masks(replies: str) -> tuple[int, ...]:
-    """The t, f and d masks of a string of one reply per input in table order: bit j for input j."""
+    """The t and f masks of a string of one reply per input in table order: bit j for input j."""
     backwards = replies[::-1]
     return tuple(int(backwards.translate(digits), 2) for digits in _REPLY_DIGITS)
+
+
+def _reply_at(masks: tuple[int, ...], j: int) -> Reply:
+    """Input j's reply, read from its bits in one side's t and f masks: d where neither is set."""
+    return Reply.T if masks[0] >> j & 1 else Reply.F if masks[1] >> j & 1 else Reply.D
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -111,13 +115,8 @@ def equivalence_check(sequence: Program, fn: PartialBooleanFunction, aux_count: 
     if got is None:
         got = _reply_masks("".join(str(walk(program, j, arity, aux_count)) for j in range(len(fn.entries))))
     want = _reply_masks("".join(map(_ENTRY_REPLY.__getitem__, fn.entries)))
-    # Each input has one reply got and one wanted, so the off-diagonal pairs of masks hold every mismatch once.
-    found = sorted(
-        (j, got_reply, want_reply)
-        for got_reply, got_mask in zip(_REPLIES, got)
-        for want_reply, want_mask in zip(_REPLIES, want)
-        if got_reply is not want_reply
-        for j in _set_bits(got_mask & want_mask)
-    )
-    mismatches = tuple(Mismatch(input_vector(j, arity), g, e) for j, g, e in found)
-    return EquivalenceReport(arity, aux_count, mismatches)
+    # Each side's t, f and d masks split the inputs, so the replies differ exactly where a t or an f bit does.
+    differ = (got[0] ^ want[0]) | (got[1] ^ want[1])
+    found = _set_bits(differ)
+    mismatches = tuple(Mismatch(input_vector(j, arity), _reply_at(got, j), _reply_at(want, j)) for j in found)
+    return EquivalenceReport(arity, mismatches)

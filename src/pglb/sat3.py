@@ -124,10 +124,14 @@ def canonical_clause(literals: Sequence[tuple[int, bool]]) -> ClauseShape:
 def parse_dimacs(text: str) -> CnfFormula:
     """DIMACS-style input: ``p cnf k c`` then c clauses of exactly 3 literals.
 
-    Numbers are ASCII decimal; a literal may have a leading ``-``.
+    Numbers are ASCII decimal; a literal may have a leading ``-``. Lines are
+    read once, in order, so an error names the first bad line, and a clause
+    line before the header is refused.
     """
-    tokens: list[tuple[str, int]] = []  # (token, line)
     header: tuple[int, int] | None = None
+    clauses: set[ClauseShape] = set()
+    current: list[tuple[int, bool]] = []
+    total = 0
     for lineno, line in enumerate(text.split("\n"), 1):
         fields = line.split()
         if not fields or fields[0].startswith("c"):
@@ -137,30 +141,27 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ParseError("duplicate header", lineno)
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError("header must be 'p cnf <vars> <clauses>'", lineno)
-            header = (
+            k, expected = header = (
                 parse_decimal(fields[2], "variable count", lineno), parse_decimal(fields[3], "clause count", lineno)
             )
             continue
-        tokens.extend((token, lineno) for token in fields)
+        if header is None:
+            raise ParseError("missing 'p cnf' header", lineno)
+        for token in fields:
+            value = parse_decimal(token, "literal", lineno, signed=True)
+            if value == 0:
+                if len(current) != 3:
+                    raise ParseError(f"clause must have exactly 3 literals, got {len(current)}", lineno)
+                shape = canonical_clause(current)
+                if max(shape.l, shape.m, shape.n) > k:
+                    raise ParseError(f"variable index exceeds declared count {k}", lineno)
+                clauses.add(shape)
+                total += 1
+                current = []
+            else:
+                current.append((abs(value), value > 0))
     if header is None:
         raise ParseError("missing 'p cnf' header")
-    k, expected = header
-    clauses: set[ClauseShape] = set()
-    current: list[tuple[int, bool]] = []
-    total = 0
-    for token, lineno in tokens:
-        value = parse_decimal(token, "literal", lineno, signed=True)
-        if value == 0:
-            if len(current) != 3:
-                raise ParseError(f"clause must have exactly 3 literals, got {len(current)}", lineno)
-            shape = canonical_clause(current)
-            if max(shape.l, shape.m, shape.n) > k:
-                raise ParseError(f"variable index exceeds declared count {k}", lineno)
-            clauses.add(shape)
-            total += 1
-            current = []
-        else:
-            current.append((abs(value), value > 0))
     if current:
         raise ParseError("unterminated clause (missing 0)")
     if total != expected:

@@ -75,13 +75,18 @@ def truth_table_text(fn: PartialBooleanFunction) -> str:
     Nullary tables are a single !t, !f or #0 (whose behaviour is deadlock,
     hence reply d, for the undefined entry). Otherwise test the last input
     and jump over the compiled b=t restriction into the b=f restriction.
+    """
+    return _join_leaves(list(map(_LEAVES.__getitem__, fn.entries)))
+
+
+def _join_leaves(texts: list[str]) -> str:
+    """The table program's text around 2^k one-position leaf texts, leaf j in the slot of table index j.
 
     The restrictions of arity a are the contiguous index ranges of size 2^a
-    of ``fn.entries``; built level by level, each range's text joins its two
+    of the leaves; built level by level, each range's text joins its two
     halves, upper (b=t) first, in one comprehension per level.
     """
-    texts = list(map(_LEAVES.__getitem__, fn.entries))
-    for arity in range(1, fn.arity + 1):
+    for arity in range(1, len(texts).bit_length()):
         head = f"-in:{arity}.get; #{truth_table_length(arity - 1) + 1}; "
         texts = [f"{head}{t_half}; {f_half}" for f_half, t_half in zip(texts[::2], texts[1::2])]
     return texts[0]

@@ -56,6 +56,8 @@ from pglb import (
     use_apply,
 )
 from pglb.cli import main as cli_main
+from pglb.extraction import BANK_IN, M_GET, compile_text
+from pglb.synthesis import _join_leaves, input_masks
 from thelpers import leaf, program_foci, random_family, random_thread
 
 ALL_VALUES = (Reply.T, Reply.F, Reply.D)
@@ -359,3 +361,34 @@ def test_criterion_10_table_files_are_read_in_bulk():
         with criterion(10, f"read an arity-14 table file in {order} order", 0.015):
             parsed = parse_truth_table(text)
         assert parsed == fn
+
+
+def _marker_reach(arity: int) -> dict:
+    """The inputs, as a mask over table indices, that reach each row other than an input get.
+
+    The program is the table program's text with the bare symbol x<j> as leaf j. One pass in
+    the style of :func:`pglb.interaction.reply_sets` follows the input gets through ``landing``
+    and stops at any other row, keyed by its action text (None for a deadlock row).
+    """
+    program = compile_text(_join_leaves([f"x{j}" for j in range(2**arity)]))
+    rows, landing, columns = program.rows, program.landing, input_masks(arity)
+    reach = [0] * len(rows)
+    reach[program.entry()] = (1 << 2**arity) - 1
+    stops: dict = {}
+    for row, (_, bank, i, method, text, on_t, on_f) in enumerate(rows):
+        here = reach[row]
+        if here and (bank, method) != (BANK_IN, M_GET):
+            stops[text] = stops.get(text, 0) | here
+        elif here:
+            reach[landing[row + on_t]] |= here & columns[i]
+            reach[landing[row + on_f]] |= here & ~columns[i]
+    return stops
+
+
+def test_criterion_11_truth_table_compiler_on_every_table():
+    # Every leaf is one position, so the program's shape depends on the arity alone. Marker x<j>
+    # reached by exactly input j, and no deadlock reached, means that on every table input j's run
+    # reaches the slot of entry j: !t replies t, !f replies f and #0 deadlocks (reply d).
+    with criterion(11, "truth-table compiler on every table of arity 0-15", 2.0):
+        for arity in range(16):
+            assert _marker_reach(arity) == {f"x{j}": 1 << j for j in range(2**arity)}, arity

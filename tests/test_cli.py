@@ -74,6 +74,30 @@ def test_an_undecodable_file_is_named(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", program, "--tt", str(table))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {table}: 'utf-8' codec can't decode byte 0xff in position 0")
+    # After a byte-order mark, the position is still the byte's offset in the file.
+    table.write_bytes(b"\xef\xbb\xbfk 0\n\xff\n")
+    code, out, err = run_cli(capsys, "verify", program, "--tt", str(table))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {table}: 'utf-8' codec can't decode byte 0xff in position 7")
+
+
+def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path, capsys):
+    # Each command's files go through one reader, which drops a leading UTF-8 byte-order mark.
+    program = write(tmp_path, "p.pga", "+in:1.get; !t; !f\n")
+    cases = (
+        ("p.pga", "+in:1.get; !t; !f\n", ("run", "{file}", "--in", "t")),
+        ("t.tt", "k 1\nf f\nt t\n", ("verify", program, "--tt", "{file}")),
+        ("c.net", "inputs 1\ng1 = NOT x1\n", ("compile", "circuit", "{file}")),
+        ("f.cnf", "p cnf 1 1\n1 1 1 0\n", ("encode", "cnf", "{file}")),
+    )
+
+    def run_on(name, text, argv):
+        path = write(tmp_path, name, text)
+        return run_cli(capsys, *(path if arg == "{file}" else arg for arg in argv))
+
+    for name, text, argv in cases:
+        plain = run_on(name, text, argv)
+        assert plain[0] == 0 and run_on("bom-" + name, "\ufeff" + text, argv) == plain, name
 
 
 def test_extract_prints_equations(tmp_path, capsys):
@@ -313,7 +337,7 @@ def test_a_header_is_matched_by_its_exact_keyword(tmp_path, capsys):
     cases = (
         (("compile", "tt"), "kx 1\nf t\nt f\n", "1: first line must be 'k <arity>'"),
         (("compile", "circuit"), "inputsfoo 1\ng1 = NOT x1\n", "1: first line must be 'inputs <k>'"),
-        (("encode", "cnf"), "pfoo cnf 1 1\n1 1 1 0\n", "missing 'p cnf' header"),
+        (("encode", "cnf"), "pfoo cnf 1 1\n1 1 1 0\n", "1: missing 'p cnf' header"),
     )
     for command, text, message in cases:
         code, out, err = run_cli(capsys, *command, write(tmp_path, "input.txt", text))
@@ -339,6 +363,10 @@ def test_data_file_errors_name_the_physical_line(tmp_path, capsys):
         (("encode", "cnf"), "p cnf 1 1\n\np cnf 1 1\n1 1 1 0\n", "3: duplicate header"),
         (("encode", "cnf"), "c one\np cnf 1\n1 1 1 0\n", "2: header must be 'p cnf <vars> <clauses>'"),
         (("encode", "cnf"), "p cnf 1 1\n1 1 1\n", "unterminated clause (missing 0)"),
+        # A CNF file is read once, in order: a later header hides no earlier error.
+        (("encode", "cnf"), "p cnf 1 1\n1 x 1 0\np cnf 1 1\n", "2: bad literal 'x'"),
+        (("encode", "cnf"), "p cnf 1 2\n1 1 1 0\n1 1 9 0\np cnf 1 2\n", "3: variable index exceeds declared count 1"),
+        (("encode", "cnf"), "1 1 1 0\np cnf 1 1\n", "1: missing 'p cnf' header"),
     )
     for command, text, message in cases:
         code, out, err = run_cli(capsys, *command, write(tmp_path, "input.txt", text))
