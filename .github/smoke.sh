@@ -58,6 +58,11 @@ printf 'a; b; \\#2\n' > loop2.pga
 status=0; pglb project loop2.pga -n 1000000000000000 > loop2.out || status=$?
 test "$status" -eq 3
 test ! -s loop2.out
+printf 'x; y; a; b; c; d; \\#4\n' > prefix-loop.pga
+status=0; pglb project prefix-loop.pga -n 1000000000000000 > prefix-loop.out || status=$?
+test "$status" -eq 3
+test ! -s prefix-loop.out
+test "$(pglb project prefix-loop.pga -n 9)" = 'x ∘ y ∘ a ∘ b ∘ c ∘ d ∘ a ∘ b ∘ c ∘ D'
 printf 'a; +b; #2; #3; c; \\#4; +d; !t; !f\n' > demo.pga
 printf '%s\n' 'E0 = a ∘ E1' 'E1 = c ∘ E1 ⊴ b ⊵ (S+ ⊴ d ⊵ S-)' > demo.want
 pglb extract demo.pga | cmp - demo.want

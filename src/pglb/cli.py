@@ -69,13 +69,17 @@ def _check_projection_size(thread: RegularThread, depth: int) -> None:
 
     Counts level by level the nodes of the tree ``render_term`` prints, the
     two branches of a test apart when they lead to different states: a bound
-    on the printed term and on the projection's memo. Stops past the cap.
-    Repeating levels are found by Brent's method: the level at each power-of-two
-    depth is kept, and once a later level equals it, whole periods are counted at once.
+    on the printed term and on the work of building it. Stops past the cap.
+    A level still reached after as many levels as the thread has states lies
+    on a cycle, so every level down to the depth is reached and the count is
+    at least depth + 1: a depth at or above the cap is refused there. Below
+    the cap the loop runs at most ``depth`` levels.
     """
     level, nodes, built = {thread.root: 1}, 1, 0  # level: state -> paths reaching it at this depth
-    saved, saved_at, saved_nodes = level, 0, nodes
     while built < depth and level and nodes <= DEFAULT_STATE_CAP:
+        if built == len(thread.states) and depth >= DEFAULT_STATE_CAP:
+            nodes = depth + 1  # a lower bound, and over the cap
+            break
         following: dict[int, int] = {}
         for state, paths in level.items():
             label = thread.states[state]
@@ -84,12 +88,6 @@ def _check_projection_size(thread: RegularThread, depth: int) -> None:
                     following[succ] = following.get(succ, 0) + paths
         level, built = following, built + 1
         nodes += sum(level.values())
-        if level == saved:
-            periods = (depth - built) // (built - saved_at)
-            built += periods * (built - saved_at)
-            nodes += periods * (nodes - saved_nodes)
-        elif built & (built - 1) == 0:
-            saved, saved_at, saved_nodes = level, built, nodes
     if nodes > DEFAULT_STATE_CAP:
         raise InfeasibleArityError(f"depth {depth}: over {DEFAULT_STATE_CAP} nodes to project (the state cap)")
 

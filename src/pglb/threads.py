@@ -153,44 +153,36 @@ def project(thread: RegularThread, depth: int) -> FiniteThread:
     """Approximation up to ``depth``: cut the behaviour after that many actions.
 
     Depth 0 is always D; a postconditional at depth n+1 keeps its action and
-    projects both branches at depth n. Equal subterms are built once: each
-    (state, depth) is projected once, and a table keyed by the action and
-    its children's identities returns one shared node per distinct term.
+    projects both branches at depth n. The states at each distance from the
+    root above the cut are listed first; each level's terms are then built
+    from the level below, where the cut is D. Each node is interned by its
+    value, so equal subterms are one node.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     states = thread.states
-    memo: dict[tuple[int, int], FiniteThread] = {}
-    shared: dict[tuple[Action, int, int], Post] = {}
-    stack = [(thread.root, depth)]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        state, n = key
-        label = states[state]
-        if n == 0 or isinstance(label, Deadlock):
-            memo[key] = DEADLOCK
-        elif isinstance(label, SPlus):
-            memo[key] = S_PLUS
-        elif isinstance(label, SMinus):
-            memo[key] = S_MINUS
-        else:
-            then_key, else_key = (label.then_state, n - 1), (label.else_state, n - 1)
-            if then_key not in memo or else_key not in memo:
-                stack.append(then_key)
-                stack.append(else_key)
-                continue
-            then_branch, else_branch = memo[then_key], memo[else_key]
-            # Children are nodes of this table or leaves, so their identities name their terms.
-            node_key = (label.action, id(then_branch), id(else_branch))
-            node = shared.get(node_key)
-            if node is None:
-                node = shared[node_key] = Post(label.action, then_branch, else_branch)
-            memo[key] = node
-        stack.pop()
-    return memo[(thread.root, depth)]
+    levels: list[tuple[int, ...]] = []
+    level = {thread.root}
+    while level and len(levels) < depth:
+        levels.append(tuple(level))  # 48 bytes for one state, against 216 as a set
+        level = {
+            succ
+            for state in level
+            if isinstance(label := states[state], PostNode)
+            for succ in (label.then_state, label.else_state)
+        }
+    shared: dict[FiniteThread, FiniteThread] = {leaf: leaf for leaf in (S_PLUS, S_MINUS, DEADLOCK)}
+    below = dict.fromkeys(level, DEADLOCK)  # the states still reached at the cut
+    for above in reversed(levels):
+        terms: dict[int, FiniteThread] = {}
+        for state in above:
+            node = states[state]
+            if isinstance(node, PostNode):
+                node = Post(node.action, below[node.then_state], below[node.else_state])
+            # A node equal to one already built has the same children, so the comparison stops at once.
+            terms[state] = shared.setdefault(node, node)
+        below = terms
+    return below[thread.root]
 
 
 def _label_class(label: StateLabel):

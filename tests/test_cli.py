@@ -523,7 +523,8 @@ def test_the_projection_check_refuses_as_its_level_by_level_count(monkeypatch):
 
 
 def test_the_projection_check_counts_repeating_levels_exactly(monkeypatch):
-    # Depths far past the states, so that whole periods of repeating levels are skipped.
+    # Depths far past the states: levels on a cycle are counted one by one, and a cap at or below
+    # the depth is refused by the cycle rule alone.
     rng = random.Random(43)
     for _ in range(400):
         thread = random_thread(rng, max_states=7)

@@ -22,7 +22,14 @@ from pglb import (
     thread_from_term,
     thread_to_dot,
 )
-from thelpers import duplicate_state, leaf, permute_states, random_thread, reference_bisimilar
+from thelpers import (
+    duplicate_state,
+    leaf,
+    permute_states,
+    random_thread,
+    reference_bisimilar,
+    reference_project,
+)
 
 A, B, C, D_ACT = Action("a"), Action("b"), Action("c"), Action("d")
 
@@ -53,6 +60,50 @@ def test_projection_of_loop_graph_matches_hand_expansion():
     assert project(LOOP_GRAPH, 2) == Post(A, b_then_d, b_then_d)
     b_branches = Post(B, Post(C, DEADLOCK, DEADLOCK), Post(D_ACT, DEADLOCK, DEADLOCK))
     assert project(LOOP_GRAPH, 3) == Post(A, b_branches, b_branches)
+
+
+def _post_nodes(term):
+    """The distinct postconditional nodes of a term graph."""
+    found, pending = {}, [term]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Post) and id(node) not in found:
+            found[id(node)] = node
+            pending += [node.then_branch, node.else_branch]
+    return found.values()
+
+
+def test_projection_matches_its_definition():
+    # Copies of a state give two states one term, which must come out as one node.
+    rng = random.Random(26)
+    for trial in range(2000):
+        thread = random_thread(rng, max_states=6)
+        if trial % 3 == 0:
+            thread = duplicate_state(rng, thread)
+        depth = rng.randint(0, 12)
+        term, want = project(thread, depth), reference_project(thread, depth)
+        assert term == want, (thread, depth)
+        assert render_term(term) == render_term(want)
+        for node in _post_nodes(term):
+            assert (node.then_branch is node.else_branch) == (node.then_branch == node.else_branch), (thread, depth)
+
+
+class CountingAction(Action):
+    """An action that counts the calls of its hash."""
+
+    hashes = 0
+
+    def __hash__(self) -> int:
+        CountingAction.hashes += 1
+        return super().__hash__()
+
+
+def test_projection_hashes_each_action_once_per_node():
+    loop = RegularThread((PostNode(CountingAction("a"), 0, 0),), 0)
+    CountingAction.hashes = 0
+    term = project(loop, 1000)
+    assert len(thread_from_term(term).states) == 1001
+    assert CountingAction.hashes <= 1000
 
 
 def test_projection_composes_via_minimum():

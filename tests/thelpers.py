@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 from pglb import (
@@ -23,6 +24,7 @@ from pglb import (
     NegTest,
     OR,
     PartialBooleanFunction,
+    Post,
     PosTest,
     PostNode,
     RegularThread,
@@ -398,6 +400,21 @@ def direct_jump(p: int, landing: int | None, size: int):
     if landing == 0:
         return FwdJump(size + 1 - p)
     return FwdJump(landing - p) if landing > p else BwdJump(p - landing)
+
+
+def reference_project(thread: RegularThread, depth: int):
+    """π_depth by its definition: D at 0, a leaf stays itself, a postconditional keeps its action over both π_(n-1)."""
+
+    @functools.cache
+    def pi(state: int, n: int):
+        label = thread.states[state]
+        if n == 0:
+            return DEADLOCK
+        if isinstance(label, PostNode):
+            return Post(label.action, pi(label.then_state, n - 1), pi(label.else_state, n - 1))
+        return label
+
+    return pi(thread.root, depth)
 
 
 def reference_projection_nodes(thread: RegularThread, depth: int, cap: int | None = None) -> int:
