@@ -129,6 +129,11 @@ test "$(head -c 16 forward.err)" = "parse error: 3: "
 printf '+ in:1.get // c\n!t; !f\n' > spaced-trace.pga
 pglb run spaced-trace.pga --trace --in t > spaced-trace.out
 test "$(head -n 1 spaced-trace.out)" = "[1] +in:1.get: in:1.get -> t"
+printf '+ in:1.get; #0;\\#0 ;-\taux:1.get; !t\n' > canonical.pga
+test "$(pglb fmt canonical.pga)" = '+in:1.get; #0; \#0; -aux:1.get; !t'
+printf '+  in:1.get ; - aux:1.get; !t; !f\n' > spaced-signs.pga
+pglb run spaced-signs.pga --in t --aux 1 --trace > spaced-signs.out
+printf '%s\n' '[1] +in:1.get: in:1.get -> t' '[2] -aux:1.get: aux:1.get -> t' '[4] !f: terminate f' f | cmp - spaced-signs.out
 printf '!t\n!t; !x\n' > bad-second-line.pga
 status=0; pglb run bad-second-line.pga --in t > bad-run.out 2> bad-run.err || status=$?
 test "$status" -eq 2

@@ -15,7 +15,7 @@ from itertools import count
 from pathlib import Path
 
 from .errors import InfeasibleArityError, ParseError, StateSpaceCapExceeded
-from .extraction import compile_text, extract, row_text
+from .extraction import compile_text, extract
 from .interaction import DEFAULT_STATE_CAP, compute, trace
 from .isa import MAX_DIGITS
 from .oracle import equivalence_check
@@ -54,7 +54,7 @@ def _read(path: str) -> str:
 
 def _cmd_fmt(args) -> int:
     program = compile_text(_read(args.file))
-    print("; ".join(map(row_text, program.rows[1 : program.exit_state])))
+    print("; ".join([head[7] for head in program.rows[1 : program.exit_state]]))
     return EXIT_OK
 
 

@@ -10,10 +10,11 @@ infinite jump chain and deadlocks.
 A program is compiled once, from its text in one pass, to one shared row
 per distinct token indexed by position and one map from each position to
 where behaviour lands there (:class:`CompiledProgram`, :func:`compile_text`).
-A sequence built in code compiles as its rendered text. Both the thread
-graph (:func:`extract_at`) and the execution walk in
-:mod:`pglb.interaction` are built from that form; neither builds an
-instruction.
+Each row keeps its instruction's canonical text, read from the token once,
+which ``fmt``, a trace and :func:`pglb.isa.parse` take as it is. A sequence
+built in code compiles as its rendered text. Both the thread graph
+(:func:`extract_at`) and the execution walk in :mod:`pglb.interaction` are
+built from that form; neither builds an instruction.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ _METHODS = {GET: M_GET, SET_T: M_SET_T, SET_F: M_SET_F}
 _JUMP_FWD, _JUMP_BWD = -1, -2
 # Successor offsets (on reply t, on reply f) of the instructions that perform an action, by sign.
 _SIGN_OFFSETS = {"": (1, 1), "+": (1, 2), "-": (2, 1)}
-_SIGNS = {offsets: sign for sign, offsets in _SIGN_OFFSETS.items()}
 
-# Row head: kind, bank, index, method, action as canonical text, then offset, else offset.
-_RowHead = tuple[int, int, int, int, str | None, int, int]
-_DEADLOCK_HEAD: _RowHead = (OP_DEADLOCK, BANK_NONE, 0, M_OTHER, None, 0, 0)
-_FINAL_HEADS: dict[str, _RowHead] = {"!t": (OP_TRUE, *_DEADLOCK_HEAD[1:]), "!f": (OP_FALSE, *_DEADLOCK_HEAD[1:])}
+# Row head: kind, bank, index, method, action as canonical text, then offset, else offset,
+# and the instruction as canonical text (None for a deadlock row).
+_RowHead = tuple[int, int, int, int, str | None, int, int, str | None]
+_DEADLOCK_HEAD: _RowHead = (OP_DEADLOCK, BANK_NONE, 0, M_OTHER, None, 0, 0, None)
+_FINAL_HEADS: dict[str, _RowHead] = {t: (op, *_DEADLOCK_HEAD[1:7], t) for op, t in ((OP_TRUE, "!t"), (OP_FALSE, "!f"))}
 
 
 def _token_head(token: str) -> _RowHead | None:
@@ -55,8 +56,9 @@ def _token_head(token: str) -> _RowHead | None:
     symbol, a named focus or aux:0 (``BANK_NONE``). A register row's index
     is i-1 for in:i, its bit as input i is of a table index, and i-1 for aux:i
     until ranked. The action is its canonical text, the match's group for the
-    token after its sign and spaces. The pattern refuses ``!t`` and ``!f``;
-    their rows are looked up.
+    token after its sign and spaces, and the instruction's text is its sign
+    and that group; a jump's is the token, which the pattern takes without
+    spaces. The pattern refuses ``!t`` and ``!f``; their rows are looked up.
     """
     match = _TOKEN.fullmatch(token)
     if match is None:
@@ -64,23 +66,13 @@ def _token_head(token: str) -> _RowHead | None:
     backslash, offset, sign, action, in_index, aux_index, _, method, symbol = match.groups()
     if offset is not None:
         length = -int(offset) if backslash else int(offset)
-        return (_JUMP_BWD if backslash else _JUMP_FWD, BANK_NONE, 0, M_OTHER, None, length, length)
+        return (_JUMP_BWD if backslash else _JUMP_FWD, BANK_NONE, 0, M_OTHER, None, length, length, token)
     if symbol == "tau":
         return None
     on_t, on_f = _SIGN_OFFSETS[sign]
     number = int(in_index or aux_index or 0)
     bank = (BANK_IN if in_index else BANK_AUX) if number else BANK_NONE
-    return (OP_ACTION, bank, number and number - 1, _METHODS.get(method, M_OTHER), action, on_t, on_f)
-
-
-def row_text(head: _RowHead) -> str:
-    """The canonical text of the instruction a row stands for, as ``render`` writes it."""
-    kind = head[0]
-    if kind == OP_ACTION:
-        return _SIGNS[head[5:]] + head[4]  # type: ignore[operator]
-    if kind < 0:
-        return ("#" if kind == _JUMP_FWD else "\\#") + str(abs(head[5]))
-    return "!t" if kind == OP_TRUE else "!f"
+    return (OP_ACTION, bank, number and number - 1, _METHODS.get(method, M_OTHER), action, on_t, on_f, sign + action)
 
 
 def _land_jumps(landing: list[int], rows: tuple[_RowHead, ...], jumps: list[int], exit_state: int) -> None:
@@ -120,7 +112,8 @@ class CompiledProgram:
     """A program's thread indexed by position: one shared row per distinct token.
 
     ``rows[p]`` is the row at position p = 1..size; its action is the
-    action's canonical text, None for a jump or termination. A reply continues
+    action's canonical text, None for a jump or termination, and its last
+    field the instruction's, as ``render`` writes it. A reply continues
     at ``landing[p + offset]``, where behaviour goes on once the jumps there
     are followed. The deadlock rows ``exit_state`` (behaviour left the
     program, as from position 0 or past the end) and ``exit_state + 1`` (an

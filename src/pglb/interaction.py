@@ -36,7 +36,6 @@ from .extraction import (
     M_SET_T,
     OP_TRUE,
     Program,
-    row_text,
 )
 from .isa import TAU
 from .services import Reply, ServiceFamily
@@ -179,7 +178,7 @@ def _step(
     if kind == "no-service":  # the focus: past the registers of its bank given to the run, or never served
         past = {BANK_IN: f"past --in {input_count}", BANK_AUX: f"past --aux {aux_count}"}
         note = f"{head[4].partition('.')[0]} {past.get(head[1], 'is never served')}"
-    return TraceStep(kind, position=row, instruction=row_text(head), action=head[4], reply=reply, note=note)
+    return TraceStep(kind, position=row, instruction=head[7], action=head[4], reply=reply, note=note)
 
 
 def walk(
@@ -231,7 +230,7 @@ def walk(
     state = came_from = program.entry()
     taken = 0
     while True:
-        op, b, i, m, _, on_t, on_f = rows[state]
+        op, b, i, m, _, on_t, on_f, _ = rows[state]
         if op >= OP_TRUE:
             answer, end = _FINAL_REPLY[op - OP_TRUE], "terminate"
             break
@@ -310,7 +309,7 @@ def reply_sets(program: CompiledProgram, input_count: int, aux_count: int = 0) -
         here, reach[row] = reach[row], 0
         if not here:
             continue
-        op, b, i, m, _, on_t, on_f = rows[row]
+        op, b, i, m, _, on_t, on_f, _ = rows[row]
         if op >= OP_TRUE:
             finals[op - OP_TRUE] |= here
             continue

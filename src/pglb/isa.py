@@ -278,12 +278,13 @@ def parse(text: str) -> InstructionSequence:
     :class:`ParseError` with a line:column position on malformed input, at
     a malformed token's first occurrence. The text is read into its compiled
     form (:func:`pglb.extraction.compile_text`), which the sequence keeps,
-    then one instruction is built per distinct token and shared.
+    then one instruction is built per distinct token, from its row's text,
+    and shared.
     """
-    from .extraction import compile_text, row_text  # extraction imports this module
+    from .extraction import compile_text  # extraction imports this module
 
     program = compile_text(text)
-    built = {id(head): _instruction_of(row_text(head)) for head in program.heads}
+    built = {id(head): _instruction_of(head[7]) for head in program.heads}
     sequence = InstructionSequence(tuple(map(built.__getitem__, map(id, program.rows[1 : program.exit_state]))))
     object.__setattr__(sequence, "compiled", program)  # fills the cached property
     return sequence

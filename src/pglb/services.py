@@ -96,9 +96,6 @@ class ServiceFamily:
         updated[focus] = service
         return ServiceFamily(updated)
 
-    def __contains__(self, focus: Focus) -> bool:
-        return focus in self._services
-
     def __iter__(self) -> Iterator[Focus]:
         return iter(self._services)
 

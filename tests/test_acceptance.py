@@ -375,7 +375,7 @@ def _marker_reach(arity: int) -> dict:
     reach = [0] * len(rows)
     reach[program.entry()] = (1 << 2**arity) - 1
     stops: dict = {}
-    for row, (_, bank, i, method, text, on_t, on_f) in enumerate(rows):
+    for row, (_, bank, i, method, text, on_t, on_f, _) in enumerate(rows):
         here = reach[row]
         if here and (bank, method) != (BANK_IN, M_GET):
             stops[text] = stops.get(text, 0) | here

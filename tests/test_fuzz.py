@@ -5,6 +5,7 @@ rows, netlist gates and CNF clauses, with a few malformed tokens mixed in,
 weighted so that most inputs get past the parser. Every call must end in a
 documented exit code (0-3) within 5 s, none may report an internal error,
 and none may fall through to the bare ``error:`` of a stray ValueError.
+What ``fmt`` prints is canonical text, which ``fmt`` prints unchanged.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ GOOD_PROGRAM_TOKENS = (
     "in:1.get", "+in:1.get", "-in:2.get", "in:1.set:t", "in:2.set:f",
     "aux:1.set:t", "aux:1.set:f", "+aux:1.get", "-aux:2.get", "+aux:0.get",
     "#0", "#1", "#2", "#3", "\\#1", "\\#2", "\\#3", "!t", "!f",
+    "+ in:1.get", "-\taux:2.get", "\\#0",
 )
 BARE_PROGRAM_TOKENS = ("a", "+b", "-c", "x.get", "+p.flip")
 BAD_PROGRAM_TOKENS = ("#01", "+", "in:0.get", "tau", "!x", "#-1", "a:b.get", "+in:.get", "#" + "9" * 5000)
@@ -127,6 +129,18 @@ def _timed_out(signum, frame):
     raise CallTimedOut("a call ran for more than 5 s")
 
 
+def _call(argv):
+    """The exit code, stdout and stderr of ``main(argv)``, run under a 5-s alarm."""
+    out, err = io.StringIO(), io.StringIO()
+    signal.alarm(5)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.alarm(0)
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_every_command_ends_in_a_documented_exit_code(tmp_path):
     rng = random.Random(26)
 
@@ -141,17 +155,13 @@ def test_every_command_ends_in_a_documented_exit_code(tmp_path):
         for _ in range(CALLS_PER_FORM):
             for form in FORMS:
                 argv = command(rng, form, write)
-                out, err = io.StringIO(), io.StringIO()
-                signal.alarm(5)
-                try:
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = main(argv)
-                finally:
-                    signal.alarm(0)
-                assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
-                assert "internal error" not in err.getvalue(), (argv, err.getvalue())
-                assert not err.getvalue().startswith("error:"), (argv, err.getvalue())
+                code, out, err = _call(argv)
+                assert code in (0, 1, 2, 3), (argv, code, err)
+                assert "internal error" not in err, (argv, err)
+                assert not err.startswith("error:"), (argv, err)
                 codes[form].append(code)
+                if form == "fmt" and code == 0:
+                    assert _call(["fmt", write("fmt.pga", out)]) == (0, out, ""), (argv, out)
     finally:
         signal.signal(signal.SIGALRM, previous)
     calls = [code for form_codes in codes.values() for code in form_codes]

@@ -31,6 +31,7 @@ from pglb import (
     render,
 )
 from pglb.extraction import compile_text
+from pglb.isa import render_instruction
 from pglb.sat3 import gen_3sat_text
 from thelpers import program_foci, random_sequence
 
@@ -86,6 +87,9 @@ def test_render_examples():
     assert render(InstructionSequence((TERM_T,))) == "!t"
     assert render(parse(EXAMPLE_LOOP)) == EXAMPLE_LOOP
     assert render(parse(r"a; \#1")) == r"a; \#1"
+    assert str(parse(EXAMPLE_LOOP)) == EXAMPLE_LOOP
+    with pytest.raises(TypeError, match="^not an instruction: "):
+        render_instruction(Action("a"))
 
 
 def test_parse_errors_carry_positions():

@@ -105,6 +105,8 @@ def test_compose_disjoint_union():
     assert family.get(Focus.named("1")) == REG_T
     assert family.get(Focus.named("2")) == REG_F
     assert set(family) == {Focus.named("1"), Focus.named("2")}
+    # Membership goes through iteration over the foci.
+    assert Focus.named("1") in family and Focus.named("3") not in family
 
 
 def test_compose_commutative_and_associative():
@@ -167,6 +169,10 @@ def test_family_signature_is_order_independent():
     a = ServiceFamily({Focus.named("p"): REG_T, Focus.named("q"): REG_F})
     b = ServiceFamily({Focus.named("q"): REG_F, Focus.named("p"): REG_T})
     assert a == b and a.pairs == b.pairs and hash(a) == hash(b)
+    # A family equals no other kind of value, not even its own pairs.
+    assert a.__eq__(a.pairs) is NotImplemented and a != a.pairs
+    focus = Focus.named("p")
+    assert repr(ServiceFamily({focus: REG_T})) == f"ServiceFamily({{{focus!r}: {REG_T!r}}})"
 
 
 def test_replaced_preserves_identity_for_noop_updates():

@@ -14,6 +14,7 @@ from pglb import (
     RegularThread,
     S_MINUS,
     S_PLUS,
+    SPlus,
     aip_equal,
     bisimilar,
     project,
@@ -334,6 +335,8 @@ def test_shared_terms_compare_in_linear_time():
     left, right = project(LOOP_GRAPH, 300), project(LOOP_GRAPH, 300)
     assert left is not right and left == right and hash(left) == hash(right)
     assert left != project(LOOP_GRAPH, 299)
+    # Leaves compare by value: a fresh S+ equals the shared one.
+    assert Post(A, SPlus(), DEADLOCK) == Post(A, S_PLUS, DEADLOCK)
     # Two states with one behaviour project to one shared node.
     twins = project(RegularThread((PostNode(A, 1, 2), PostNode(B, 3, 3), PostNode(B, 3, 3), S_PLUS), 0), 3)
     assert twins.then_branch is twins.else_branch

@@ -332,11 +332,13 @@ def reference_compile_program(sequence, start: int = 1) -> dict:
 def compiled_differences(sequence, compiled) -> list[str]:
     """Where ``compiled`` differs from ``reference_compile_program(sequence)``: empty when nowhere.
 
-    Checks the entry row of every start position from -1 to size+3, and each
-    position's row and successors, the aux indices named, the state count
-    and ``acyclic``.
+    Checks the entry row of every start position from -1 to size+3, each
+    position's text, as ``render_instruction`` writes its instruction, each
+    non-jump position's row and successors, the aux indices named, the state
+    count and ``acyclic``.
     """
     from pglb.extraction import BANK_AUX, BANK_IN, BANK_NONE
+    from pglb.isa import render_instruction
 
     size = len(sequence)
     rows, landing = compiled.rows, compiled.landing
@@ -362,8 +364,11 @@ def compiled_differences(sequence, compiled) -> list[str]:
             return (BANK_AUX, named.index(index)) if index else (BANK_NONE, 0)
         return (bank, index - 1) if bank == BANK_IN else (bank, index)
 
+    for p, instruction in enumerate(sequence.instructions, 1):
+        if rows[p][7] != render_instruction(instruction):
+            found.append(f"text of {p}")
     for state, p in enumerate(position[:-2]):
-        kind, bank, index, method, action, on_t, on_f = rows[p]
+        kind, bank, index, method, action, on_t, on_f, _ = rows[p]
         expected = [reference[name][state] for name in ("kind", "bank", "index", "method", "action")]
         expected[1:3] = bit(*expected[1:3])
         # A row holds its action as canonical text.
