@@ -21,6 +21,16 @@ printf 'k 2\nff f\nft t\ntf t\ntt f\n' > xor.tt
 pglb compile tt xor.tt > xor.pga
 pglb fmt xor.pga | cmp - xor.pga
 pglb verify xor.pga --tt xor.tt
+printf 'k 2\r\nff f\r\nft t\r\ntf t\r\ntt f\r\n' > crlf.tt
+pglb compile tt crlf.tt | cmp - xor.pga
+pglb verify xor.pga --tt crlf.tt
+printf '+in:1.get\r!t\r!f\r' > cr.pga
+test "$(pglb run cr.pga --in f)" = f
+printf 'k 1\nf f\nt \xff\n' > bad.tt
+status=0; pglb verify xor.pga --tt bad.tt > bad.out 2> bad.err || status=$?
+test "$status" -eq 2
+test ! -s bad.out
+grep -q "bad.tt: 'utf-8' codec can't decode byte 0xff in position 10" bad.err
 printf 'k 2\nff t\nft t\ntf t\ntt f\n' > flipped.tt
 status=0; pglb verify xor.pga --tt flipped.tt || status=$?
 test "$status" -eq 1

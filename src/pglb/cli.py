@@ -45,11 +45,13 @@ EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
-    # A leading byte-order mark is dropped after decoding, so a decode error names its byte's offset in the file.
+    # Decoded whole, so a decode error names its byte's offset in the file; then, as in text mode, a leading
+    # byte-order mark is dropped and \r\n and \r become \n. Path normalises the name an OSError gives.
     try:
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        text = Path(path).read_bytes().decode()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _cmd_fmt(args) -> int:

@@ -207,6 +207,8 @@ def compile_3sat_loopfree(k: int) -> InstructionSequence:
 
 _PATTERN_BITS = str.maketrans("tf", "10")
 _ENTRY = {"t": True, "f": False, "u": None}
+# Each cell of a table row becomes x; a literal x becomes y, so that it cannot pass for one.
+_ROW_CELLS = str.maketrans("tfux", "xxxy")
 # The header of a file read by columns. Two digits suffice: the 2^100 rows of arity 100 fit in no memory.
 _COLUMNS_HEADER = re.compile(r"k ([0-9]{1,2})\n")
 
@@ -267,8 +269,10 @@ def _read_table_columns(text: str) -> PartialBooleanFunction | None:
 
     After the header ``k <arity>\\n`` the rows come in table-index order
     (input 1 changes fastest) or in lexicographic order (input k changes
-    fastest, as :func:`format_truth_table` writes them). One pattern checks
-    every row. Each pattern column is then read as one int whose bit r is
+    fastest, as :func:`format_truth_table` writes them). One comparison
+    checks every row: :data:`_ROW_CELLS` turns the body into the template
+    ``("x" * k + " x\\n") * 2^k``, and every u must be a value. Each pattern
+    column is then read as one int whose bit r is
     row r's input; the order is one of the two when these ints equal the
     table's :func:`input_masks`, ascending or descending. The entries are
     the value column, bit-reversed for lexicographic order.
@@ -279,11 +283,13 @@ def _read_table_columns(text: str) -> PartialBooleanFunction | None:
     arity = int(header[1])
     width = arity + 3  # the pattern, a space, the value and a newline
     body = text[header.end() :]
-    if len(body) != width << arity or not re.fullmatch(rf"(?:[tf]{{{arity}}} [tfu]\n)*", body):
+    if len(body) != width << arity or body.translate(_ROW_CELLS) != ("x" * arity + " x\n") * (1 << arity):
+        return None
+    values = body[arity + 1 :: width]
+    if body.count("u") != values.count("u"):
         return None
     columns = [int(body[i::width][::-1].translate(_PATTERN_BITS), 2) for i in range(arity)]
     masks = input_masks(arity)
-    values = body[arity + 1 :: width]
     if columns != masks:
         if columns != masks[::-1]:
             return None

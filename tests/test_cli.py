@@ -79,10 +79,17 @@ def test_an_undecodable_file_is_named(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", program, "--tt", str(table))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {table}: 'utf-8' codec can't decode byte 0xff in position 7")
+    # The offset counts from the start of the file past its first 8 KiB too.
+    big = tmp_path / "big.pga"
+    big.write_bytes(b" " * 9000 + b"!t\xff")
+    code, out, err = run_cli(capsys, "fmt", str(big))
+    assert (code, out) == (2, "")
+    assert err == f"error: {big}: 'utf-8' codec can't decode byte 0xff in position 9002: invalid start byte\n"
 
 
 def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path, capsys):
-    # Each command's files go through one reader, which drops a leading UTF-8 byte-order mark.
+    # Each command's files go through one reader, which drops a leading UTF-8 byte-order mark and
+    # turns \r\n and lone \r line ends into \n: each variant gives the result of the plain file.
     program = write(tmp_path, "p.pga", "+in:1.get; !t; !f\n")
     cases = (
         ("p.pga", "+in:1.get; !t; !f\n", ("run", "{file}", "--in", "t")),
@@ -92,12 +99,16 @@ def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path, capsys):
     )
 
     def run_on(name, text, argv):
-        path = write(tmp_path, name, text)
-        return run_cli(capsys, *(path if arg == "{file}" else arg for arg in argv))
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        return run_cli(capsys, *(str(path) if arg == "{file}" else arg for arg in argv))
 
     for name, text, argv in cases:
         plain = run_on(name, text, argv)
-        assert plain[0] == 0 and run_on("bom-" + name, "\ufeff" + text, argv) == plain, name
+        assert plain[0] == 0, name
+        variants = {"bom-": "\ufeff" + text, "crlf-": text.replace("\n", "\r\n"), "cr-": text.replace("\n", "\r")}
+        for prefix, variant in variants.items():
+            assert run_on(prefix + name, variant, argv) == plain, prefix + name
 
 
 def test_extract_prints_equations(tmp_path, capsys):

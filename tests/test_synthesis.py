@@ -195,6 +195,11 @@ def test_truth_table_file_errors():
         parse_truth_table("k 1\nt t\nt f\n")  # duplicate row
     with pytest.raises(ParseError):
         parse_truth_table("k 1\nt x\nf t\n")  # bad value
+    # Both files have the bulk layout; neither an x nor a u is a pattern character.
+    for text in ("k 1\nx t\nt f\n", "k 1\nu t\nt f\n"):
+        with pytest.raises(ParseError) as caught:
+            parse_truth_table(text)
+        assert caught.value.line == 2, text
 
 
 def test_netlist_round_trip():
